@@ -30,11 +30,12 @@
 //! dot products per learner), which is what makes the Table II latencies
 //! land next to OnlineHD's.
 
-use crate::classifier::{argmax, argmax_rows, predict_batch_chunked, Classifier};
+use crate::classifier::{argmax, Classifier};
 use crate::error::{BoostHdError, Result};
+use crate::frozen::{Ensemble, Learner};
 use crate::online::{
-    normalize_rows, normalize_weights, scores_unit_classes, scores_unit_classes_batch,
-    train_class_hvs, validate_training_inputs,
+    normalize_rows, normalize_weights, scores_unit_classes_batch, train_class_hvs,
+    validate_training_inputs,
 };
 use faults::Perturbable;
 use hdc::encoder::{Encode, SinusoidEncoder};
@@ -150,41 +151,16 @@ impl Default for BoostHdConfig {
     }
 }
 
-/// One trained weak learner: its class hypervectors, vote weight, and the
-/// dimension segment it owns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct WeakLearner {
-    class_hvs: Matrix,
-    alpha: f32,
-    seg_start: usize,
-    seg_end: usize,
-    /// Present only in [`EnsembleMode::FullDimension`]: the learner's private
-    /// encoder (otherwise the parent's slice is used).
-    own_encoder: Option<SinusoidEncoder>,
-}
-
-impl WeakLearner {
-    fn scores(&self, full_h: &[f32], x: &[f32]) -> Vec<f32> {
-        match &self.own_encoder {
-            None => scores_unit_classes(&self.class_hvs, &full_h[self.seg_start..self.seg_end]),
-            Some(enc) => {
-                let h = enc.encode_row(x);
-                scores_unit_classes(&self.class_hvs, &h)
-            }
-        }
-    }
-}
-
 /// A trained BoostHD ensemble.
 ///
 /// Construct with [`BoostHd::fit`]; see the [module docs](self) for the
 /// algorithm and the crate root for a runnable quickstart.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BoostHd {
-    encoder: SinusoidEncoder,
     partition: DimensionPartition,
-    learners: Vec<WeakLearner>,
-    num_classes: usize,
+    /// The weak learners over the shared encoder: exactly the frozen f32
+    /// inference model.
+    pub(crate) ensemble: Ensemble<Matrix>,
     config: BoostHdConfig,
     train_errors: Vec<f64>,
 }
@@ -234,12 +210,7 @@ impl BoostHd {
                 reason: "boosting requires at least two classes".into(),
             });
         }
-        let partition =
-            DimensionPartition::new(config.dim_total, config.n_learners).map_err(|e| {
-                BoostHdError::InvalidConfig {
-                    reason: e.to_string(),
-                }
-            })?;
+        let partition = partition_of(config)?;
 
         let mut rng = Rng64::seed_from(config.seed);
         let encoder = SinusoidEncoder::try_new(config.dim_total, x.cols(), &mut rng)
@@ -422,11 +393,10 @@ impl BoostHd {
                     *w /= total;
                 }
 
-                learners.push(WeakLearner {
-                    class_hvs,
+                learners.push(Learner {
+                    memory: class_hvs,
                     alpha,
-                    seg_start: seg.start,
-                    seg_end: seg.end,
+                    segment: seg,
                     own_encoder,
                 });
             }
@@ -434,10 +404,13 @@ impl BoostHd {
         }
 
         Ok(Self {
-            encoder,
             partition,
-            learners,
-            num_classes,
+            ensemble: Ensemble {
+                encoder,
+                learners,
+                num_classes,
+                voting: config.voting,
+            },
             config: *config,
             train_errors,
         })
@@ -445,7 +418,7 @@ impl BoostHd {
 
     /// Vote weights `α_i` of the weak learners, in training order.
     pub fn alphas(&self) -> Vec<f32> {
-        self.learners.iter().map(|l| l.alpha).collect()
+        self.ensemble.alphas()
     }
 
     /// Weighted training error `ε_i` of each weak learner at the time it was
@@ -461,7 +434,7 @@ impl BoostHd {
 
     /// Number of weak learners `N_L`.
     pub fn num_learners(&self) -> usize {
-        self.learners.len()
+        self.ensemble.num_learners()
     }
 
     /// Total hyperspace dimensionality `D_total`.
@@ -476,7 +449,7 @@ impl BoostHd {
 
     /// The shared full-`D` encoder.
     pub fn encoder(&self) -> &SinusoidEncoder {
-        &self.encoder
+        &self.ensemble.encoder
     }
 
     /// Class hypervectors of weak learner `i` (a `classes × D/n` matrix).
@@ -485,7 +458,7 @@ impl BoostHd {
     ///
     /// Panics if `i >= self.num_learners()`.
     pub fn learner_class_hypervectors(&self, i: usize) -> &Matrix {
-        &self.learners[i].class_hvs
+        &self.ensemble.learners[i].memory
     }
 
     /// All per-learner class hypervectors embedded into the full-`D` space
@@ -495,72 +468,30 @@ impl BoostHd {
     /// Only meaningful in [`EnsembleMode::Partitioned`]; full-dimension
     /// learners are embedded at their nominal segments for comparability.
     pub fn stacked_class_hypervectors(&self) -> Matrix {
-        let blocks: Vec<(std::ops::Range<usize>, &Matrix)> = self
-            .learners
-            .iter()
-            .map(|l| (l.seg_start..l.seg_end, &l.class_hvs))
-            .collect();
-        let usable: Vec<_> = blocks
-            .iter()
-            .filter(|(r, m)| r.len() == m.cols())
-            .cloned()
+        let usable: Vec<(std::ops::Range<usize>, &Matrix)> = (self.ensemble.learners.iter())
+            .filter(|l| l.segment.len() == l.memory.cols())
+            .map(|l| (l.segment.clone(), &l.memory))
             .collect();
         hdc::span::embed_blocks(&usable, self.config.dim_total)
     }
 
-    /// Internal view of learner `i` for persistence: `(α, seg_start,
-    /// seg_end, private encoder)`.
-    pub(crate) fn learner_parts(&self, i: usize) -> (f32, usize, usize, Option<&SinusoidEncoder>) {
-        let l = &self.learners[i];
-        (l.alpha, l.seg_start, l.seg_end, l.own_encoder.as_ref())
-    }
-
-    /// Reassembles an ensemble from stored parts (the persistence path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] if segments or class-matrix
-    /// shapes are inconsistent with the configuration.
+    /// Reassembles an ensemble from stored parts (the persistence path);
+    /// fails for an impossible partition or a learner count that
+    /// disagrees with the configuration.
     pub(crate) fn from_parts(
-        encoder: SinusoidEncoder,
-        learners: Vec<(f32, usize, usize, Matrix, Option<SinusoidEncoder>)>,
-        num_classes: usize,
+        ensemble: Ensemble<Matrix>,
         config: BoostHdConfig,
         train_errors: Vec<f64>,
     ) -> Result<Self> {
-        let partition =
-            DimensionPartition::new(config.dim_total, config.n_learners).map_err(|e| {
-                BoostHdError::InvalidConfig {
-                    reason: e.to_string(),
-                }
-            })?;
-        let learners: Vec<WeakLearner> = learners
-            .into_iter()
-            .map(|(alpha, seg_start, seg_end, class_hvs, own_encoder)| {
-                if seg_start > seg_end || seg_end > config.dim_total {
-                    return Err(BoostHdError::DataMismatch {
-                        reason: format!("segment {seg_start}..{seg_end} out of bounds"),
-                    });
-                }
-                if own_encoder.is_none() && class_hvs.cols() != seg_end - seg_start {
-                    return Err(BoostHdError::DataMismatch {
-                        reason: "class hypervector width disagrees with segment".into(),
-                    });
-                }
-                Ok(WeakLearner {
-                    class_hvs,
-                    alpha,
-                    seg_start,
-                    seg_end,
-                    own_encoder,
-                })
-            })
-            .collect::<Result<_>>()?;
+        let partition = partition_of(&config)?;
+        if ensemble.num_learners() != config.n_learners {
+            return Err(BoostHdError::DataMismatch {
+                reason: "learner count disagrees with config".into(),
+            });
+        }
         Ok(Self {
-            encoder,
             partition,
-            learners,
-            num_classes,
+            ensemble,
             config,
             train_errors,
         })
@@ -570,62 +501,19 @@ impl BoostHd {
     /// `{−1, +1}` in place — the 1-bit representation HDC accelerators
     /// store. See [`crate::OnlineHd::quantize_bipolar`].
     pub fn quantize_bipolar(&mut self) {
-        for learner in &mut self.learners {
-            for r in 0..learner.class_hvs.rows() {
-                let row = learner.class_hvs.row_mut(r);
-                let q = hdc::ops::to_bipolar(row);
-                row.copy_from_slice(&q);
-                hdc::ops::normalize_inplace(row);
-            }
+        for learner in &mut self.ensemble.learners {
+            crate::online::bipolarize_rows(&mut learner.memory);
         }
     }
+}
 
-    /// Predicts every row of `x` using `threads` worker threads, each
-    /// running the batched encode-GEMM + vote aggregation on a contiguous
-    /// chunk of the batch.
-    ///
-    /// Inference is embarrassingly parallel across queries (the paper's
-    /// "parallelization becomes feasible during the inference phase"); this
-    /// is the path behind BoostHD's Table II latencies on wide-input
-    /// datasets. Identical to [`Classifier::predict_batch`] for any thread
-    /// count.
-    pub fn predict_batch_parallel(&self, x: &Matrix, threads: usize) -> Vec<usize> {
-        predict_batch_chunked(self, x, threads)
-    }
-
-    fn votes_for_encoded(&self, full_h: &[f32], x: &[f32]) -> Vec<f32> {
-        let mut votes = vec![0.0f32; self.num_classes];
-        for learner in &self.learners {
-            let sims = learner.scores(full_h, x);
-            match self.config.voting {
-                Voting::Hard => votes[argmax(&sims)] += learner.alpha,
-                Voting::Soft => {
-                    for (v, s) in votes.iter_mut().zip(sims.iter()) {
-                        *v += learner.alpha * s;
-                    }
-                }
-            }
+/// The learner-to-segment partition `config` describes.
+fn partition_of(config: &BoostHdConfig) -> Result<DimensionPartition> {
+    DimensionPartition::new(config.dim_total, config.n_learners).map_err(|e| {
+        BoostHdError::InvalidConfig {
+            reason: e.to_string(),
         }
-        votes
-    }
-
-    /// Accumulates one learner's `α`-weighted votes for a chunk of batch
-    /// rows into the `samples × classes` vote matrix starting at row
-    /// `offset`, given that learner's per-chunk similarity matrix.
-    fn accumulate_votes(&self, votes: &mut Matrix, offset: usize, sims: &Matrix, alpha: f32) {
-        for r in 0..sims.rows() {
-            let sims_row = sims.row(r);
-            let vote_row = votes.row_mut(offset + r);
-            match self.config.voting {
-                Voting::Hard => vote_row[argmax(sims_row)] += alpha,
-                Voting::Soft => {
-                    for (v, s) in vote_row.iter_mut().zip(sims_row.iter()) {
-                        *v += alpha * s;
-                    }
-                }
-            }
-        }
-    }
+    })
 }
 
 /// Draws `count` indices from the weighted bootstrap distribution via the
@@ -651,61 +539,28 @@ fn weighted_bootstrap(weights: &[f64], count: usize, rng: &mut Rng64) -> Vec<usi
 
 impl Classifier for BoostHd {
     fn num_classes(&self) -> usize {
-        self.num_classes
+        self.ensemble.num_classes()
     }
 
     fn scores(&self, x: &[f32]) -> Vec<f32> {
-        let full_h = match self.config.mode {
-            EnsembleMode::Partitioned => self.encoder.encode_row(x),
-            EnsembleMode::FullDimension => Vec::new(),
-        };
-        self.votes_for_encoded(&full_h, x)
+        self.ensemble.scores(x)
     }
 
     fn scores_batch(&self, x: &Matrix) -> Matrix {
-        // Walk the batch in row chunks through a reused encode buffer:
-        // each chunk is encoded once (shared full-`D` GEMM for partitioned
-        // learners, one GEMM per private encoder in the full-dimension
-        // ablation), then every learner scores it with one batched
-        // similarity product — learners visited in training order so vote
-        // sums accumulate exactly like the row path.
-        let mut votes = Matrix::zeros(x.rows(), self.num_classes);
-        let needs_full = self.learners.iter().any(|l| l.own_encoder.is_none());
-        let mut zbuf = Matrix::zeros(0, 0);
-        let mut start = 0;
-        while start < x.rows() {
-            let end = (start + crate::online::score_chunk()).min(x.rows());
-            let xc = x.slice_rows(start, end);
-            if needs_full {
-                self.encoder.encode_batch_into(&xc, &mut zbuf);
-            }
-            for learner in &self.learners {
-                let sims = match &learner.own_encoder {
-                    None => {
-                        let zi = zbuf.slice_columns(learner.seg_start, learner.seg_end);
-                        scores_unit_classes_batch(&learner.class_hvs, &zi)
-                    }
-                    Some(enc) => {
-                        scores_unit_classes_batch(&learner.class_hvs, &enc.encode_batch(&xc))
-                    }
-                };
-                self.accumulate_votes(&mut votes, start, &sims, learner.alpha);
-            }
-            start = end;
-        }
-        votes
+        self.ensemble.scores_batch(x)
     }
 
     fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        argmax_rows(&self.scores_batch(x))
+        self.ensemble.predict_batch(x)
     }
 }
 
 impl Perturbable for BoostHd {
     fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        self.learners
+        self.ensemble
+            .learners
             .iter_mut()
-            .map(|l| l.class_hvs.as_mut_slice())
+            .map(|l| l.memory.as_mut_slice())
             .collect()
     }
 }

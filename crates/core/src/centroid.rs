@@ -5,13 +5,15 @@
 //! `C_l = Σ_{y_i = l} φ(x_i)`. No refinement, no error feedback — one pass.
 //! Included both as the simplest member of the HDC family and as the ablation
 //! weak learner ("what does BoostHD buy beyond bundling?").
+//!
+//! A trained centroid model keeps nothing but its encoder and class rows,
+//! so it *is* the frozen single-memory shape over dense f32 rows
+//! ([`Single<Matrix>`](crate::frozen::Single)): inference, persistence
+//! and quantization all come from [`crate::frozen`].
 
-use crate::classifier::{argmax_rows, Classifier};
 use crate::error::{BoostHdError, Result};
-use crate::online::{
-    chunked_unit_scores, normalize_rows, normalize_weights, scores_unit_classes,
-    validate_training_inputs,
-};
+use crate::frozen::Single;
+use crate::online::{normalize_rows, normalize_weights, validate_training_inputs};
 use faults::Perturbable;
 use hdc::encoder::{Encode, SinusoidEncoder};
 use linalg::{Matrix, Rng64};
@@ -35,7 +37,8 @@ impl Default for CentroidHdConfig {
     }
 }
 
-/// A trained single-pass bundling classifier.
+/// A trained single-pass bundling classifier: one encoder plus unit-norm
+/// f32 class rows.
 ///
 /// # Example
 ///
@@ -54,12 +57,7 @@ impl Default for CentroidHdConfig {
 /// assert_eq!(model.predict(&[2.05, 2.05]), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CentroidHd {
-    encoder: SinusoidEncoder,
-    class_hvs: Matrix,
-    num_classes: usize,
-}
+pub type CentroidHd = Single<Matrix>;
 
 impl CentroidHd {
     /// Trains by bundling every encoded sample into its class hypervector.
@@ -110,82 +108,26 @@ impl CentroidHd {
         normalize_rows(&mut class_hvs);
         Ok(Self {
             encoder,
-            class_hvs,
-            num_classes,
+            memory: class_hvs,
         })
     }
 
     /// The trained class hypervectors as a `classes × D` matrix.
     pub fn class_hypervectors(&self) -> &Matrix {
-        &self.class_hvs
-    }
-
-    /// The encoder used to map features into the hyperspace.
-    pub fn encoder(&self) -> &SinusoidEncoder {
-        &self.encoder
-    }
-
-    /// Hyperspace dimensionality `D`.
-    pub fn dim(&self) -> usize {
-        self.class_hvs.cols()
-    }
-
-    /// Reassembles a model from its stored parts (the persistence path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for inconsistent shapes.
-    pub(crate) fn from_parts(
-        encoder: SinusoidEncoder,
-        class_hvs: Matrix,
-        num_classes: usize,
-    ) -> Result<Self> {
-        if class_hvs.rows() != num_classes {
-            return Err(BoostHdError::DataMismatch {
-                reason: "class hypervector count disagrees with header".into(),
-            });
-        }
-        if class_hvs.cols() != encoder.dim() {
-            return Err(BoostHdError::DataMismatch {
-                reason: "class hypervector width disagrees with encoder".into(),
-            });
-        }
-        Ok(Self {
-            encoder,
-            class_hvs,
-            num_classes,
-        })
-    }
-}
-
-impl Classifier for CentroidHd {
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn scores(&self, x: &[f32]) -> Vec<f32> {
-        let h = self.encoder.encode_row(x);
-        scores_unit_classes(&self.class_hvs, &h)
-    }
-
-    fn scores_batch(&self, x: &Matrix) -> Matrix {
-        chunked_unit_scores(&self.encoder, &self.class_hvs, x)
-    }
-
-    fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        argmax_rows(&self.scores_batch(x))
+        &self.memory
     }
 }
 
 impl Perturbable for CentroidHd {
     fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.class_hvs.as_mut_slice()]
+        vec![self.memory.as_mut_slice()]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::Classifier;
 
     fn blobs(n: usize, seed: u64, sep: f32) -> (Matrix, Vec<usize>) {
         let mut rng = Rng64::seed_from(seed);

@@ -71,6 +71,19 @@ pub trait Classifier {
     fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
         (0..x.rows()).map(|r| self.predict(x.row(r))).collect()
     }
+
+    /// Predicted classes for every row of `x`, fanned out over `threads`
+    /// contiguous row chunks ([`predict_batch_chunked`]). Inference is
+    /// embarrassingly parallel across queries (the paper's
+    /// "parallelization becomes feasible during the inference phase"), so
+    /// the result is identical to [`Classifier::predict_batch`] for any
+    /// thread count.
+    fn predict_batch_parallel(&self, x: &Matrix, threads: usize) -> Vec<usize>
+    where
+        Self: Sync + Sized,
+    {
+        predict_batch_chunked(self, x, threads)
+    }
 }
 
 /// Row-major argmax over a scores matrix: the shared decision rule batched
@@ -109,14 +122,26 @@ pub fn predict_batch_chunked_with<C>(
 where
     C: Classifier + Sync + ?Sized,
 {
+    map_row_chunks(x, threads, backend, |chunk| model.predict_batch(chunk))
+}
+
+/// Runs `f` on `threads` contiguous row chunks of `x`
+/// ([`crate::parallel::chunk_bounds`]) on `backend` and concatenates the
+/// results in row order; one chunk runs inline on the caller.
+pub(crate) fn map_row_chunks<T: Send>(
+    x: &Matrix,
+    threads: usize,
+    backend: ExecBackend,
+    f: impl Fn(&Matrix) -> Vec<T> + Sync,
+) -> Vec<T> {
     let rows = x.rows();
     let workers = threads.clamp(1, rows.max(1));
     if workers <= 1 {
-        return model.predict_batch(x);
+        return f(x);
     }
     parallel_map_indices_with(backend, workers, workers, |w| {
         let (start, end) = chunk_bounds(rows, workers, w);
-        model.predict_batch(&x.slice_rows(start, end))
+        f(&x.slice_rows(start, end))
     })
     .into_iter()
     .flatten()

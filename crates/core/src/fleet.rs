@@ -1170,6 +1170,66 @@ mod tests {
         }
     }
 
+    /// A blob whose encoder is narrower than the model it serves must fail
+    /// to load — inline and as a store record — instead of loading and
+    /// panicking at the first predict.
+    #[test]
+    fn narrower_encoder_is_rejected_inline_and_as_a_store_record() {
+        use crate::{BoostHd, BoostHdConfig, Model, OnlineHd};
+        let (x, y) = toy();
+        let online = OnlineHdConfig {
+            dim: 128,
+            epochs: 2,
+            ..Default::default()
+        };
+        let base = BoostHdConfig {
+            dim_total: 128,
+            n_learners: 4,
+            epochs: 2,
+            ..Default::default()
+        };
+        let narrow = OnlineHd::fit(&OnlineHdConfig { dim: 64, ..online }, &x, &y).unwrap();
+        let narrow = narrow.encoder();
+        let mut online_hd = OnlineHd::fit(&online, &x, &y).unwrap();
+        let mut boost = BoostHd::fit(&base, &x, &y).unwrap();
+        let (mut packed, mut int8) = (boost.quantize(), boost.quantize_i8());
+        online_hd.single.encoder = narrow.clone();
+        boost.ensemble.encoder = narrow.clone();
+        packed.encoder = narrow.clone();
+        int8.encoder = narrow.clone();
+        let refit_epochs = 0;
+        let models: [(ModelSpec, Box<dyn Model>); 4] = [
+            (ModelSpec::OnlineHd(online), Box::new(online_hd)),
+            (ModelSpec::BoostHd(base), Box::new(boost)),
+            (
+                ModelSpec::QuantizedBoostHd { base, refit_epochs },
+                Box::new(packed),
+            ),
+            (
+                ModelSpec::QuantizedI8BoostHd { base, refit_epochs },
+                Box::new(int8),
+            ),
+        ];
+        let dir = tempdir("fleet-narrow-encoder");
+        let store = ModelStore::create(dir.join("models.bhfs")).unwrap();
+        for (spec, model) in models {
+            let tag = spec.kind_tag();
+            let pipeline = Pipeline::from_model(spec, model);
+            let inline = Pipeline::from_bytes(&pipeline.to_bytes().unwrap()).err();
+            assert!(
+                matches!(inline, Some(BoostHdError::DataMismatch { .. })),
+                "{tag}: {inline:?}"
+            );
+            store.append(tag, 1, &[&pipeline]).unwrap();
+            let entry = store.entries().pop().unwrap();
+            let stored = store.load_record(&entry).err();
+            assert!(
+                matches!(stored, Some(BoostHdError::DataMismatch { .. })),
+                "{tag}: {stored:?}"
+            );
+        }
+    }
+
     #[test]
     fn missing_models_error_descriptively() {
         let dir = tempdir("fleet-missing");

@@ -1,7 +1,8 @@
 //! BoostHD — boosting in hyperdimensional computing (the paper's primary
 //! contribution), together with the HDC classifiers it builds on.
 //!
-//! The crate provides three classifiers over the [`hdc`] substrate:
+//! The crate provides three trainable classifiers over the [`hdc`]
+//! substrate:
 //!
 //! * [`CentroidHd`] — the classic single-pass HDC learner: bundle every
 //!   encoded training sample into its class hypervector;
@@ -23,10 +24,24 @@
 //! via XOR + popcount — 32× smaller and several times faster than the
 //! f32 cosine path at the paper's `D = 4000`.
 //!
+//! # Memory × shape
+//!
+//! Inference is written once ([`frozen`]): a [`ClassMemory`] — f32 rows,
+//! int8 [`I8Rows`] or packed sign rows — arranged in a [`Single`] (one
+//! memory) or an [`Ensemble`] (`α`-weighted weak learners over segments
+//! of one shared encoding). [`CentroidHd`] is `Single<Matrix>`,
+//! [`OnlineHd`] and [`BoostHd`] hold a `Single<Matrix>` /
+//! `Ensemble<Matrix>`, and quantizing maps the memory: the four quantized
+//! models are `Single`/`Ensemble` over `PackedMatrix`/`I8Rows`. A new
+//! memory tier is one [`ClassMemory`] impl; [`persist`] tables the BHD1
+//! kind of each (shape, memory) pair.
+//!
 //! All models implement the [`Classifier`] trait (shared with the
-//! `baselines` crate); f32 models implement [`faults::Perturbable`],
-//! int8 models [`faults::PerturbableI8`], and bitpacked models
-//! [`faults::PerturbablePacked`] for bit-flip fault injection.
+//! `baselines` crate); f32 models implement [`faults::Perturbable`] and
+//! bitpacked models [`faults::PerturbablePacked`] for bit-flip fault
+//! injection, and every HDC model injects faults on its own storage
+//! through [`Model::inject_bitflips`] (int8 flips land on the stored
+//! bytes, [`faults::flip_i8_bits`]).
 //!
 //! The recommended front door is the **unified facade** ([`pipeline`]):
 //! describe any model (HDC or classical baseline) as a serializable
@@ -73,6 +88,7 @@ pub mod centroid;
 pub mod classifier;
 pub mod error;
 pub mod fleet;
+pub mod frozen;
 pub mod online;
 pub mod parallel;
 pub mod persist;
@@ -88,8 +104,9 @@ pub use centroid::{CentroidHd, CentroidHdConfig};
 pub use classifier::{argmax, Classifier};
 pub use error::{BoostHdError, Result};
 pub use fleet::{Fleet, FleetConfig, FleetModel, ModelStore, StoreEntry};
+pub use frozen::{ClassMemory, Ensemble, Single};
 pub use online::{OnlineHd, OnlineHdConfig};
 pub use pipeline::{Model, Pipeline, Prediction};
 pub use quantized::{QuantizedBoostHd, QuantizedHd};
-pub use quantized_i8::{QuantizedI8BoostHd, QuantizedI8Hd, QuantizedI8Query};
+pub use quantized_i8::{I8Rows, QuantizedI8BoostHd, QuantizedI8Hd, QuantizedI8Query};
 pub use spec::{BaselineKind, BaselineSpec, ModelSpec};

@@ -26,8 +26,9 @@
 //! fit), which is the hook BoostHD's booster uses to focus weak learners on
 //! previously misclassified samples.
 
-use crate::classifier::{argmax, argmax_rows, Classifier};
+use crate::classifier::{argmax, Classifier};
 use crate::error::{BoostHdError, Result};
+use crate::frozen::Single;
 use faults::Perturbable;
 use hdc::encoder::{Encode, SinusoidEncoder};
 use linalg::matrix::{dot, norm};
@@ -71,9 +72,7 @@ impl Default for OnlineHdConfig {
 /// [`OnlineHd::fit_weighted`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineHd {
-    encoder: SinusoidEncoder,
-    class_hvs: Matrix,
-    num_classes: usize,
+    pub(crate) single: Single<Matrix>,
     config: OnlineHdConfig,
 }
 
@@ -132,21 +131,22 @@ impl OnlineHd {
         );
         normalize_rows(&mut class_hvs);
         Ok(Self {
-            encoder,
-            class_hvs,
-            num_classes,
+            single: Single {
+                encoder,
+                memory: class_hvs,
+            },
             config: *config,
         })
     }
 
     /// The trained class hypervectors as a `classes × D` matrix.
     pub fn class_hypervectors(&self) -> &Matrix {
-        &self.class_hvs
+        &self.single.memory
     }
 
     /// The encoder used to map features into the hyperspace.
     pub fn encoder(&self) -> &SinusoidEncoder {
-        &self.encoder
+        &self.single.encoder
     }
 
     /// The configuration the model was trained with.
@@ -156,12 +156,12 @@ impl OnlineHd {
 
     /// Hyperspace dimensionality `D`.
     pub fn dim(&self) -> usize {
-        self.class_hvs.cols()
+        self.single.dim()
     }
 
     /// Per-class cosine similarities for an already-encoded hypervector.
     pub fn scores_encoded(&self, h: &[f32]) -> Vec<f32> {
-        scores_unit_classes(&self.class_hvs, h)
+        self.single.scores_encoded(h)
     }
 
     /// Performs one *online* update with a freshly observed labeled sample —
@@ -179,22 +179,22 @@ impl OnlineHd {
     /// * [`BoostHdError::DataMismatch`] if `x` has the wrong feature count
     ///   or `y` is not one of the trained classes.
     pub fn update(&mut self, x: &[f32], y: usize) -> Result<usize> {
-        if x.len() != self.encoder.input_len() {
+        let (input_len, k) = (self.encoder().input_len(), self.num_classes());
+        if x.len() != input_len {
             return Err(BoostHdError::DataMismatch {
                 reason: format!(
-                    "sample has {} features but the encoder expects {}",
-                    x.len(),
-                    self.encoder.input_len()
+                    "sample has {} features but the encoder expects {input_len}",
+                    x.len()
                 ),
             });
         }
-        if y >= self.num_classes {
+        if y >= k {
             return Err(BoostHdError::DataMismatch {
-                reason: format!("label {y} outside the {} trained classes", self.num_classes),
+                reason: format!("label {y} outside the {k} trained classes"),
             });
         }
-        let mut h = self.encoder.encode_row(x);
-        let sims = scores_unit_classes(&self.class_hvs, &h);
+        let mut h = self.encoder().encode_row(x);
+        let sims = self.scores_encoded(&h);
         let pred = argmax(&sims);
         if pred != y {
             // The stored class hypervectors are unit-normalized, so the
@@ -203,10 +203,11 @@ impl OnlineHd {
             // instead of nudging it.
             hdc::ops::normalize_inplace(&mut h);
             let lr = self.config.lr;
-            hdc::ops::bundle_into(self.class_hvs.row_mut(y), &h, lr * (1.0 - sims[y]));
-            hdc::ops::bundle_into(self.class_hvs.row_mut(pred), &h, -lr * (1.0 - sims[pred]));
-            hdc::ops::normalize_inplace(self.class_hvs.row_mut(y));
-            hdc::ops::normalize_inplace(self.class_hvs.row_mut(pred));
+            let classes = &mut self.single.memory;
+            hdc::ops::bundle_into(classes.row_mut(y), &h, lr * (1.0 - sims[y]));
+            hdc::ops::bundle_into(classes.row_mut(pred), &h, -lr * (1.0 - sims[pred]));
+            hdc::ops::normalize_inplace(classes.row_mut(y));
+            hdc::ops::normalize_inplace(classes.row_mut(pred));
         }
         Ok(pred)
     }
@@ -238,19 +239,18 @@ impl OnlineHd {
         Ok(correct as f64 / y.len() as f64)
     }
 
-    /// Reassembles a model from its stored parts (the persistence path).
-    pub(crate) fn from_parts(
-        encoder: SinusoidEncoder,
-        class_hvs: Matrix,
-        num_classes: usize,
-        config: OnlineHdConfig,
-    ) -> Self {
-        Self {
-            encoder,
-            class_hvs,
-            num_classes,
-            config,
+    /// Reassembles a model from its stored parts (the persistence path);
+    /// fails when the encoder is not `config.dim` wide.
+    pub(crate) fn from_parts(single: Single<Matrix>, config: OnlineHdConfig) -> Result<Self> {
+        let (width, dim) = (single.encoder.dim(), config.dim);
+        if width != dim {
+            return Err(BoostHdError::DataMismatch {
+                reason: format!(
+                    "encoder is {width} wide but the model is configured for D = {dim}"
+                ),
+            });
         }
+        Ok(Self { single, config })
     }
 
     /// Quantizes the class hypervectors to bipolar `{−1, +1}` in place —
@@ -258,12 +258,7 @@ impl OnlineHd {
     /// scoring continues to work; accuracy typically drops by well under a
     /// point at experiment dimensionalities while the model shrinks 32×.
     pub fn quantize_bipolar(&mut self) {
-        for r in 0..self.class_hvs.rows() {
-            let row = self.class_hvs.row_mut(r);
-            let q = hdc::ops::to_bipolar(row);
-            row.copy_from_slice(&q);
-            hdc::ops::normalize_inplace(row);
-        }
+        bipolarize_rows(&mut self.single.memory);
     }
 
     /// Swaps the stored-projection encoder for its seed-recipe equivalent:
@@ -286,54 +281,55 @@ impl OnlineHd {
     /// not derived from `config.seed` (e.g. a hand-assembled model), and
     /// [`BoostHdError::InvalidConfig`] for degenerate shapes.
     pub fn rematerialize_encoder(&mut self) -> Result<()> {
-        if self.encoder.is_rematerialized() {
+        let encoder = &self.single.encoder;
+        if encoder.is_rematerialized() {
             return Ok(());
         }
         let remat =
-            SinusoidEncoder::try_new_remat(self.dim(), self.encoder.input_len(), self.config.seed)
+            SinusoidEncoder::try_new_remat(self.dim(), encoder.input_len(), self.config.seed)
                 .map_err(BoostHdError::from)?;
-        if remat.bias() != self.encoder.bias() {
+        if remat.bias() != encoder.bias() {
             return Err(BoostHdError::DataMismatch {
                 reason: "stored encoder does not match the seed recipe (bias mismatch)".into(),
             });
         }
-        self.encoder = remat;
+        self.single.encoder = remat;
         Ok(())
-    }
-}
-
-impl OnlineHd {
-    /// Predicts every row of `x` using `threads` worker threads, each
-    /// running the batched encode-GEMM + scoring path on a contiguous
-    /// chunk. Identical to [`Classifier::predict_batch`] for any thread
-    /// count.
-    pub fn predict_batch_parallel(&self, x: &Matrix, threads: usize) -> Vec<usize> {
-        crate::classifier::predict_batch_chunked(self, x, threads)
     }
 }
 
 impl Classifier for OnlineHd {
     fn num_classes(&self) -> usize {
-        self.num_classes
+        self.single.num_classes()
     }
 
     fn scores(&self, x: &[f32]) -> Vec<f32> {
-        let h = self.encoder.encode_row(x);
-        self.scores_encoded(&h)
+        self.single.scores(x)
     }
 
     fn scores_batch(&self, x: &Matrix) -> Matrix {
-        chunked_unit_scores(&self.encoder, &self.class_hvs, x)
+        self.single.scores_batch(x)
     }
 
     fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        argmax_rows(&self.scores_batch(x))
+        self.single.predict_batch(x)
     }
 }
 
 impl Perturbable for OnlineHd {
     fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.class_hvs.as_mut_slice()]
+        vec![self.single.memory.as_mut_slice()]
+    }
+}
+
+/// Replaces every row of `m` by its unit-norm bipolar `{−1, +1}` sign
+/// pattern.
+pub(crate) fn bipolarize_rows(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
+        let q = hdc::ops::to_bipolar(row);
+        row.copy_from_slice(&q);
+        hdc::ops::normalize_inplace(row);
     }
 }
 
@@ -391,50 +387,10 @@ pub(crate) fn normalize_rows(m: &mut Matrix) {
 /// Cosine similarities of `h` against *unit-norm* class hypervector rows:
 /// `dot(c, h)/‖h‖`. Identical to [`scores_against`] when the rows have been
 /// passed through [`normalize_rows`], at roughly half the cost.
+#[cfg(test)]
 pub(crate) fn scores_unit_classes(class_hvs: &Matrix, h: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; class_hvs.rows()];
-    scores_unit_classes_into(class_hvs, h, &mut out);
-    out
-}
-
-/// [`scores_unit_classes`] writing into a caller-owned buffer — one fused
-/// kernel pass over the `K` class rows, no per-query allocation. The hot
-/// form the training loops call.
-pub(crate) fn scores_unit_classes_into(class_hvs: &Matrix, h: &[f32], out: &mut [f32]) {
-    linalg::kernels::cosine_scores_into(class_hvs, h, norm(h), out);
-}
-
-/// Row-chunk width shared by every batched scoring path: large enough to
-/// amortize the projection stream across a GEMM row block, small enough
-/// that the encoded chunk (`score_chunk() × D` f32) stays cache-resident
-/// instead of round-tripping a whole-batch hypervector matrix through
-/// memory. Delegates to the startup autotuner ([`linalg::autotune`]);
-/// pin with `HDC_NO_AUTOTUNE=1` for a fixed 256.
-pub(crate) fn score_chunk() -> usize {
-    linalg::autotune::score_chunk()
-}
-
-/// The fused batched scoring pipeline for single-matrix classifiers:
-/// encode `x` in row chunks through a reused buffer, score each chunk
-/// against the unit-norm class rows, and assemble the `samples × classes`
-/// result. Row-identical to encoding and scoring one sample at a time.
-pub(crate) fn chunked_unit_scores(
-    encoder: &SinusoidEncoder,
-    class_hvs: &Matrix,
-    x: &Matrix,
-) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), class_hvs.rows());
-    let mut zbuf = Matrix::zeros(0, 0);
-    let mut start = 0;
-    while start < x.rows() {
-        let end = (start + score_chunk()).min(x.rows());
-        encoder.encode_batch_into(&x.slice_rows(start, end), &mut zbuf);
-        let sims = scores_unit_classes_batch(class_hvs, &zbuf);
-        for r in 0..sims.rows() {
-            out.row_mut(start + r).copy_from_slice(sims.row(r));
-        }
-        start = end;
-    }
+    linalg::kernels::cosine_scores_into(class_hvs, h, norm(h), &mut out);
     out
 }
 

@@ -35,6 +35,39 @@
 //! stored-encoder payloads stay byte-identical to v1). Every version keeps
 //! the earlier layouts unchanged, so old blobs remain readable.
 //!
+//! # Model kinds
+//!
+//! Every persisted model is a frozen shape over a class memory
+//! ([`crate::frozen`]), optionally wrapped with its training
+//! configuration. One table, `FORMATS`, maps each to its BHD1 kind byte,
+//! the payload tag BHDP envelopes and BHFS store records carry (a separate,
+//! older numbering), and the oldest BHD1 version that knows the kind:
+//!
+//! | model                     | shape      | memory | kind | tag | min version |
+//! |---------------------------|------------|--------|------|-----|-------------|
+//! | [`OnlineHd`]              | `Single`   | f32    | 1    | 1   | v1          |
+//! | [`BoostHd`]               | `Ensemble` | f32    | 2    | 3   | v1          |
+//! | [`QuantizedHd`]           | `Single`   | 1-bit  | 3    | 4   | v2          |
+//! | [`QuantizedBoostHd`]      | `Ensemble` | 1-bit  | 4    | 5   | v2          |
+//! | [`crate::CentroidHd`]     | `Single`   | f32    | 5    | 2   | v3          |
+//! | [`QuantizedI8Hd`]         | `Single`   | int8   | 6    | 6   | v4          |
+//! | [`QuantizedI8BoostHd`]    | `Ensemble` | int8   | 7    | 7   | v4          |
+//!
+//! The frozen shapes share two payload layouts:
+//!
+//! ```text
+//! single   := num_classes:u64 encoder memory
+//! ensemble := dim_total:u64 voting:u8 num_classes:u64 encoder learners
+//! learners := n:u64 (alpha:f32 seg_start:u64 seg_end:u64 memory
+//!                    own:u8 [encoder if own = 1])^n
+//! memory   := matrix | packed | i8rows
+//! ```
+//!
+//! CentroidHD is exactly an f32 `single`. OnlineHD prefixes its `single`
+//! with its training configuration; BoostHD writes its configuration,
+//! class count, shared encoder and per-learner training errors, then
+//! `learners`.
+//!
 //! # Example
 //!
 //! ```
@@ -56,11 +89,14 @@
 //! ```
 
 use crate::boost::{BoostHd, BoostHdConfig, EnsembleMode, SampleMode, Voting};
+use crate::centroid::CentroidHd;
 use crate::classifier::Classifier;
 use crate::error::{BoostHdError, Result};
+use crate::frozen::{Ensemble, Single};
 use crate::online::{OnlineHd, OnlineHdConfig};
-use crate::quantized::{QuantizedBoostHd, QuantizedHd, QuantizedWeakLearner};
-use crate::quantized_i8::{I8Rows, QuantizedI8BoostHd, QuantizedI8Hd, QuantizedI8WeakLearner};
+use crate::pipeline::{Model, PayloadKind};
+use crate::quantized::{QuantizedBoostHd, QuantizedHd};
+use crate::quantized_i8::{QuantizedI8BoostHd, QuantizedI8Hd};
 use hdc::backend::PackedMatrix;
 use hdc::encoder::{RematSpec, SinusoidEncoder};
 use linalg::{Blob, Matrix, SharedSlice, Storage};
@@ -73,18 +109,54 @@ const MAGIC: u32 = 0x3144_4842;
 const VERSION: u8 = 4;
 /// Oldest readable blob version.
 const MIN_VERSION: u8 = 1;
-const KIND_ONLINE: u8 = 1;
-const KIND_BOOST: u8 = 2;
-/// Bitpacked single-learner model ([`QuantizedHd`]); requires v2.
-const KIND_QUANT_ONLINE: u8 = 3;
-/// Bitpacked boosted ensemble ([`QuantizedBoostHd`]); requires v2.
-const KIND_QUANT_BOOST: u8 = 4;
-/// Single-pass centroid model ([`crate::CentroidHd`]); requires v3.
-const KIND_CENTROID: u8 = 5;
-/// Scaled-int8 single-learner model ([`QuantizedI8Hd`]); requires v4.
-const KIND_QUANT_I8_ONLINE: u8 = 6;
-/// Scaled-int8 boosted ensemble ([`QuantizedI8BoostHd`]); requires v4.
-const KIND_QUANT_I8_BOOST: u8 = 7;
+
+/// One persisted model kind; see the [module docs](self) for the table.
+pub(crate) struct Format {
+    /// The model family.
+    pub(crate) payload: PayloadKind,
+    /// BHD1 header kind byte.
+    pub(crate) kind: u8,
+    /// Payload tag in BHDP envelopes and BHFS store records.
+    pub(crate) tag: u8,
+    /// Oldest BHD1 version whose readers know this kind.
+    pub(crate) min_version: u8,
+    /// Decodes a full BHD1 blob of this kind (header included).
+    pub(crate) decode: fn(&mut Reader<'_>) -> Result<Box<dyn Model>>,
+}
+
+/// One [`FORMATS`] row; each payload kind shares its model type's name.
+macro_rules! format_row {
+    ($model:ident, $kind:expr, $tag:expr, $min_version:expr) => {
+        Format {
+            payload: PayloadKind::$model,
+            kind: $kind,
+            tag: $tag,
+            min_version: $min_version,
+            decode: |r| Ok(Box::new($model::decode_from(r)?)),
+        }
+    };
+}
+
+/// The (shape, memory) → kind table: model, BHD1 kind byte,
+/// envelope/store tag, minimum BHD1 version.
+pub(crate) const FORMATS: [Format; 7] = [
+    format_row!(OnlineHd, 1, 1, 1),
+    format_row!(BoostHd, 2, 3, 1),
+    format_row!(QuantizedHd, 3, 4, 2),
+    format_row!(QuantizedBoostHd, 4, 5, 2),
+    format_row!(CentroidHd, 5, 2, 3),
+    format_row!(QuantizedI8Hd, 6, 6, 4),
+    format_row!(QuantizedI8BoostHd, 7, 7, 4),
+];
+
+/// The table row of `payload`; `None` for [`PayloadKind::Unsupported`].
+pub(crate) fn format_of(payload: PayloadKind) -> Option<&'static Format> {
+    FORMATS.iter().find(|f| f.payload == payload)
+}
+
+fn persisted(payload: PayloadKind) -> &'static Format {
+    format_of(payload).expect("model family has no BHD1 kind")
+}
 
 /// Row-count sentinel marking a rematerialized-encoder recipe where a
 /// stored projection's `rows:u64` would sit (no real projection has
@@ -98,7 +170,7 @@ const REMAT_SENTINEL: u64 = u64::MAX;
 /// permutation, so either layout reloads to bit-identical encodings.
 const STORED_T_SENTINEL: u64 = u64::MAX - 1;
 
-fn persist_err(reason: impl Into<String>) -> BoostHdError {
+pub(crate) fn persist_err(reason: impl Into<String>) -> BoostHdError {
     BoostHdError::DataMismatch {
         reason: reason.into(),
     }
@@ -155,13 +227,19 @@ impl Writer {
         (self.buf, self.heap.unwrap_or_default())
     }
 
-    /// Pads the heap to an 8-byte boundary and returns the write offset.
-    fn align_heap(&mut self) -> u64 {
-        let heap = self.heap.as_mut().expect("heap-mode writer");
-        while !heap.len().is_multiple_of(8) {
-            heap.push(0);
+    /// Appends an array body produced by `write`: in place (inline mode),
+    /// or at the next 8-aligned heap offset, which the structure stream
+    /// records as a `u64` (heap mode).
+    fn put_body(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        match self.heap.as_mut() {
+            None => write(&mut self.buf),
+            Some(heap) => {
+                heap.resize(heap.len().next_multiple_of(8), 0);
+                let off = heap.len() as u64;
+                write(heap);
+                self.put_u64(off);
+            }
         }
-        heap.len() as u64
     }
 
     /// Appends a `u8`.
@@ -192,48 +270,19 @@ impl Writer {
     /// Appends a length-prefixed `f32` slice.
     pub fn put_f32_slice(&mut self, v: &[f32]) {
         self.put_u64(v.len() as u64);
-        if self.heap.is_some() {
-            let off = self.align_heap();
-            let heap = self.heap.as_mut().expect("heap-mode writer");
-            for &x in v {
-                heap.extend_from_slice(&x.to_le_bytes());
-            }
-            self.put_u64(off);
-        } else {
-            for &x in v {
-                self.put_f32(x);
-            }
-        }
+        self.put_body(|b| v.iter().for_each(|x| b.extend_from_slice(&x.to_le_bytes())));
     }
 
     /// Appends a length-prefixed `i8` slice (v4+).
     pub fn put_i8_slice(&mut self, v: &[i8]) {
         self.put_u64(v.len() as u64);
-        if self.heap.is_some() {
-            let off = self.align_heap();
-            let heap = self.heap.as_mut().expect("heap-mode writer");
-            heap.extend(v.iter().map(|&x| x as u8));
-            self.put_u64(off);
-        } else {
-            self.buf.extend(v.iter().map(|&x| x as u8));
-        }
+        self.put_body(|b| b.extend(v.iter().map(|&x| x as u8)));
     }
 
     /// Appends a length-prefixed `u64` slice.
     pub fn put_u64_slice(&mut self, v: &[u64]) {
         self.put_u64(v.len() as u64);
-        if self.heap.is_some() {
-            let off = self.align_heap();
-            let heap = self.heap.as_mut().expect("heap-mode writer");
-            for &x in v {
-                heap.extend_from_slice(&x.to_le_bytes());
-            }
-            self.put_u64(off);
-        } else {
-            for &x in v {
-                self.put_u64(x);
-            }
-        }
+        self.put_body(|b| v.iter().for_each(|x| b.extend_from_slice(&x.to_le_bytes())));
     }
 
     /// Appends a shape-prefixed bitpacked matrix.
@@ -247,18 +296,11 @@ impl Writer {
     pub fn put_matrix(&mut self, m: &Matrix) {
         self.put_u64(m.rows() as u64);
         self.put_u64(m.cols() as u64);
-        if self.heap.is_some() {
-            let off = self.align_heap();
-            let heap = self.heap.as_mut().expect("heap-mode writer");
-            for &x in m.as_slice() {
-                heap.extend_from_slice(&x.to_le_bytes());
-            }
-            self.put_u64(off);
-        } else {
-            for &x in m.as_slice() {
-                self.put_f32(x);
-            }
-        }
+        let data = m.as_slice();
+        self.put_body(|b| {
+            data.iter()
+                .for_each(|x| b.extend_from_slice(&x.to_le_bytes()))
+        });
     }
 }
 
@@ -612,13 +654,17 @@ pub(crate) fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Res
     result
 }
 
-fn put_header(w: &mut Writer, kind: u8) {
+/// Writes the BHD1 header for a model of family `payload`.
+pub(crate) fn put_header(w: &mut Writer, payload: PayloadKind) {
     w.put_u32(MAGIC);
     w.put_u8(VERSION);
-    w.put_u8(kind);
+    w.put_u8(persisted(payload).kind);
 }
 
-fn check_header(r: &mut Reader<'_>, kind: u8) -> Result<u8> {
+/// Reads and validates a BHD1 header for a model of family `payload`,
+/// returning the blob version.
+pub(crate) fn check_header(r: &mut Reader<'_>, payload: PayloadKind) -> Result<u8> {
+    let format = persisted(payload);
     if r.get_u32()? != MAGIC {
         return Err(persist_err("not a BoostHD model blob (bad magic)"));
     }
@@ -628,31 +674,23 @@ fn check_header(r: &mut Reader<'_>, kind: u8) -> Result<u8> {
             "unsupported model blob version {version} (supported {MIN_VERSION}..={VERSION})"
         )));
     }
-    if version < 2 && kind >= KIND_QUANT_ONLINE {
+    if version < format.min_version {
         return Err(persist_err(format!(
-            "model kind {kind} requires blob version 2, got {version}"
-        )));
-    }
-    if version < 3 && kind == KIND_CENTROID {
-        return Err(persist_err(format!(
-            "model kind {kind} requires blob version 3, got {version}"
-        )));
-    }
-    if version < 4 && kind >= KIND_QUANT_I8_ONLINE {
-        return Err(persist_err(format!(
-            "model kind {kind} requires blob version 4, got {version}"
+            "model kind {} requires blob version {}, got {version}",
+            format.kind, format.min_version
         )));
     }
     let got = r.get_u8()?;
-    if got != kind {
+    if got != format.kind {
         return Err(persist_err(format!(
-            "blob holds model kind {got}, expected {kind}"
+            "blob holds model kind {got}, expected {}",
+            format.kind
         )));
     }
     Ok(version)
 }
 
-fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
+pub(crate) fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
     match enc.remat_spec() {
         Some(spec) => {
             w.put_u64(REMAT_SENTINEL);
@@ -676,7 +714,7 @@ fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
     }
 }
 
-fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEncoder> {
+pub(crate) fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEncoder> {
     let rows = r.get_u64()?;
     if rows == REMAT_SENTINEL {
         if version < 4 {
@@ -716,68 +754,82 @@ fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEncoder> {
     SinusoidEncoder::from_parts(projection, bias).map_err(BoostHdError::from)
 }
 
-fn put_i8_rows(w: &mut Writer, rows: &I8Rows) {
-    w.put_u64(rows.rows() as u64);
-    w.put_u64(rows.cols() as u64);
-    w.put_f32_slice(rows.scales());
-    w.put_i8_slice(rows.data());
-}
+/// Implements the public file codec — `to_bytes`, `from_bytes`, `save`,
+/// `load` — for a model type with crate-internal `encode_into` /
+/// `decode_from` bodies (the bodies the fleet store's heap-mode records
+/// share).
+macro_rules! blob_codec {
+    ($ty:ty $(where $g:ident: $bound:path)?) => {
+        impl$(<$g: $bound>)? $ty {
+            /// Serializes the model to the compact binary format.
+            pub fn to_bytes(&self) -> Vec<u8> {
+                let mut w = $crate::persist::Writer::new();
+                self.encode_into(&mut w);
+                w.into_bytes()
+            }
 
-fn get_i8_rows(r: &mut Reader<'_>) -> Result<I8Rows> {
-    let rows = r.get_len()?;
-    let cols = r.get_len()?;
-    let scales = r.get_f32_vec()?;
-    let data = r.get_i8_storage()?;
-    if scales.len() != rows {
-        return Err(persist_err("int8 scale count disagrees with row count"));
-    }
-    I8Rows::from_storage(data, scales, cols)
+            /// Deserializes a model written by `to_bytes`.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`crate::BoostHdError::DataMismatch`] for truncated,
+            /// corrupt, inconsistent, or wrong-kind blobs.
+            pub fn from_bytes(bytes: &[u8]) -> $crate::Result<Self> {
+                let mut r = $crate::persist::Reader::new(bytes);
+                let model = Self::decode_from(&mut r)?;
+                if !r.is_exhausted() {
+                    return Err($crate::persist::persist_err("trailing bytes after model blob"));
+                }
+                Ok(model)
+            }
+
+            /// Writes the model to a file (atomically: temp sibling + fsync +
+            /// rename, so a crash mid-save never leaves a torn file at `path`).
+            ///
+            /// # Errors
+            ///
+            /// Returns [`crate::BoostHdError::DataMismatch`] wrapping any I/O
+            /// failure.
+            pub fn save(&self, path: impl AsRef<std::path::Path>) -> $crate::Result<()> {
+                $crate::persist::atomic_write(path.as_ref(), &self.to_bytes())
+                    .map_err(|e| $crate::persist::persist_err(e.to_string()))
+            }
+
+            /// Reads a model written by `save`.
+            ///
+            /// # Errors
+            ///
+            /// As `from_bytes`, plus I/O failures.
+            pub fn load(path: impl AsRef<std::path::Path>) -> $crate::Result<Self> {
+                let bytes = std::fs::read(path)
+                    .map_err(|e| $crate::persist::persist_err(e.to_string()))?;
+                Self::from_bytes(&bytes)
+            }
+        }
+    };
 }
+pub(crate) use blob_codec;
 
 impl OnlineHd {
-    /// Serializes the trained model to the compact binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Writes the full model blob (header included) into `w` — the body
-    /// shared by [`OnlineHd::to_bytes`] and the fleet store's heap-mode
-    /// records.
+    /// Full-blob encode body shared by [`OnlineHd::to_bytes`] and the fleet
+    /// store's heap-mode records: header, configuration, then the f32
+    /// `single`.
     pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_ONLINE);
+        put_header(w, PayloadKind::OnlineHd);
         let c = self.config();
         w.put_u64(c.dim as u64);
         w.put_f32(c.lr);
         w.put_u64(c.epochs as u64);
         w.put_u8(c.bootstrap as u8);
         w.put_u64(c.seed);
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        w.put_matrix(self.class_hypervectors());
-    }
-
-    /// Deserializes a model written by [`OnlineHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
+        self.single.put_body(w);
     }
 
     /// Decodes a full model blob from `r` — the body shared by
     /// [`OnlineHd::from_bytes`] and the fleet store's shared-mode reads
     /// (exhaustion is the caller's check).
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_ONLINE)?;
+        let version = check_header(r, PayloadKind::OnlineHd)?;
         let config = OnlineHdConfig {
             dim: r.get_len()?,
             lr: r.get_f32()?,
@@ -785,162 +837,46 @@ impl OnlineHd {
             bootstrap: r.get_u8()? != 0,
             seed: r.get_u64()?,
         };
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let class_hvs = r.get_matrix()?;
-        if class_hvs.rows() != num_classes || class_hvs.cols() != config.dim {
-            return Err(persist_err("class hypervector shape disagrees with header"));
-        }
-        Ok(Self::from_parts(encoder, class_hvs, num_classes, config))
-    }
-
-    /// Writes the model to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads a model written by [`OnlineHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
+        Self::from_parts(Single::get_body(r, version)?, config)
     }
 }
 
-impl crate::CentroidHd {
-    /// Serializes the trained model to the compact binary format (v3).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
+blob_codec!(OnlineHd);
 
-    /// Full-blob encode body shared with the fleet store.
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_CENTROID);
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        w.put_matrix(self.class_hypervectors());
-    }
+/// Byte tags of the configuration enums: a value's tag is its index.
+pub(crate) const VOTINGS: [Voting; 2] = [Voting::Soft, Voting::Hard];
+const MODES: [EnsembleMode; 2] = [EnsembleMode::Partitioned, EnsembleMode::FullDimension];
+const SAMPLE_MODES: [SampleMode; 2] = [SampleMode::Resample, SampleMode::Reweight];
 
-    /// Deserializes a model written by [`crate::CentroidHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
-    /// Full-blob decode body shared with the fleet store.
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_CENTROID)?;
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let class_hvs = r.get_matrix()?;
-        Self::from_parts(encoder, class_hvs, num_classes)
-    }
-
-    /// Writes the model to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads a model written by [`crate::CentroidHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::CentroidHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
-    }
+/// The byte tag of `value` in its tag table.
+pub(crate) fn tag_of<T: PartialEq>(table: &[T], value: T) -> u8 {
+    table
+        .iter()
+        .position(|t| *t == value)
+        .expect("value is in its tag table") as u8
 }
 
-fn voting_tag(v: Voting) -> u8 {
-    match v {
-        Voting::Soft => 0,
-        Voting::Hard => 1,
-    }
-}
-
-fn voting_from(tag: u8) -> Result<Voting> {
-    match tag {
-        0 => Ok(Voting::Soft),
-        1 => Ok(Voting::Hard),
-        other => Err(persist_err(format!("unknown voting tag {other}"))),
-    }
-}
-
-fn mode_tag(m: EnsembleMode) -> u8 {
-    match m {
-        EnsembleMode::Partitioned => 0,
-        EnsembleMode::FullDimension => 1,
-    }
-}
-
-fn mode_from(tag: u8) -> Result<EnsembleMode> {
-    match tag {
-        0 => Ok(EnsembleMode::Partitioned),
-        1 => Ok(EnsembleMode::FullDimension),
-        other => Err(persist_err(format!("unknown ensemble mode tag {other}"))),
-    }
-}
-
-fn sample_tag(s: SampleMode) -> u8 {
-    match s {
-        SampleMode::Resample => 0,
-        SampleMode::Reweight => 1,
-    }
-}
-
-fn sample_from(tag: u8) -> Result<SampleMode> {
-    match tag {
-        0 => Ok(SampleMode::Resample),
-        1 => Ok(SampleMode::Reweight),
-        other => Err(persist_err(format!("unknown sample mode tag {other}"))),
-    }
+/// The value `tag` names in `table`.
+pub(crate) fn from_tag<T: Copy>(table: &[T], tag: u8, what: &str) -> Result<T> {
+    table
+        .get(tag as usize)
+        .copied()
+        .ok_or_else(|| persist_err(format!("unknown {what} tag {tag}")))
 }
 
 impl BoostHd {
-    /// Serializes the trained ensemble to the compact binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
     /// Full-blob encode body shared with the fleet store.
     pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_BOOST);
+        put_header(w, PayloadKind::BoostHd);
         let c = self.config();
         w.put_u64(c.dim_total as u64);
         w.put_u64(c.n_learners as u64);
         w.put_f32(c.lr);
         w.put_u64(c.epochs as u64);
         w.put_u8(c.bootstrap as u8);
-        w.put_u8(voting_tag(c.voting));
-        w.put_u8(mode_tag(c.mode));
-        w.put_u8(sample_tag(c.sample_mode));
+        w.put_u8(tag_of(&VOTINGS, c.voting));
+        w.put_u8(tag_of(&MODES, c.mode));
+        w.put_u8(tag_of(&SAMPLE_MODES, c.sample_mode));
         w.put_f64(c.boost_shrinkage);
         w.put_f64(c.weight_clamp);
         w.put_u8(c.class_balanced_init as u8);
@@ -951,50 +887,21 @@ impl BoostHd {
         for &e in self.training_errors() {
             w.put_f64(e);
         }
-        w.put_u64(self.num_learners() as u64);
-        for i in 0..self.num_learners() {
-            let (alpha, start, end, own_encoder) = self.learner_parts(i);
-            w.put_f32(alpha);
-            w.put_u64(start as u64);
-            w.put_u64(end as u64);
-            w.put_matrix(self.learner_class_hypervectors(i));
-            match own_encoder {
-                None => w.put_u8(0),
-                Some(enc) => {
-                    w.put_u8(1);
-                    put_encoder(w, enc);
-                }
-            }
-        }
-    }
-
-    /// Deserializes an ensemble written by [`BoostHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
+        self.ensemble.put_learners(w);
     }
 
     /// Full-blob decode body shared with the fleet store.
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_BOOST)?;
+        let version = check_header(r, PayloadKind::BoostHd)?;
         let config = BoostHdConfig {
             dim_total: r.get_len()?,
             n_learners: r.get_len()?,
             lr: r.get_f32()?,
             epochs: r.get_len()?,
             bootstrap: r.get_u8()? != 0,
-            voting: voting_from(r.get_u8()?)?,
-            mode: mode_from(r.get_u8()?)?,
-            sample_mode: sample_from(r.get_u8()?)?,
+            voting: from_tag(&VOTINGS, r.get_u8()?, "voting")?,
+            mode: from_tag(&MODES, r.get_u8()?, "ensemble mode")?,
+            sample_mode: from_tag(&SAMPLE_MODES, r.get_u8()?, "sample mode")?,
             boost_shrinkage: r.get_f64()?,
             weight_clamp: r.get_f64()?,
             class_balanced_init: r.get_u8()? != 0,
@@ -1007,368 +914,19 @@ impl BoostHd {
         for _ in 0..n_errors {
             train_errors.push(r.get_f64()?);
         }
-        let n_learners = r.get_len()?;
-        if n_learners != config.n_learners {
-            return Err(persist_err("learner count disagrees with config"));
-        }
-        let mut learners = Vec::with_capacity(n_learners.min(1 << 16));
-        for _ in 0..n_learners {
-            let alpha = r.get_f32()?;
-            let start = r.get_len()?;
-            let end = r.get_len()?;
-            let class_hvs = r.get_matrix()?;
-            if class_hvs.rows() != num_classes {
-                return Err(persist_err("learner class count disagrees with header"));
-            }
-            let own_encoder = match r.get_u8()? {
-                0 => None,
-                1 => Some(get_encoder(r, version)?),
-                other => return Err(persist_err(format!("unknown encoder tag {other}"))),
-            };
-            learners.push((alpha, start, end, class_hvs, own_encoder));
-        }
-        Self::from_parts(encoder, learners, num_classes, config, train_errors)
-    }
-
-    /// Writes the ensemble to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads an ensemble written by [`BoostHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BoostHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
+        let learners = Ensemble::get_learners(r, version)?;
+        let ensemble = Ensemble::from_parts(
+            encoder,
+            learners,
+            num_classes,
+            config.voting,
+            config.dim_total,
+        )?;
+        Self::from_parts(ensemble, config, train_errors)
     }
 }
 
-impl QuantizedHd {
-    /// Serializes the bitpacked model to the compact binary format (v2).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Full-blob encode body shared with the fleet store.
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_QUANT_ONLINE);
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        w.put_packed_matrix(self.class_bits());
-    }
-
-    /// Deserializes a model written by [`QuantizedHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
-    /// Full-blob decode body shared with the fleet store.
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_QUANT_ONLINE)?;
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let class_bits = r.get_packed_matrix()?;
-        Self::from_parts(encoder, class_bits, num_classes)
-    }
-
-    /// Writes the model to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads a model written by [`QuantizedHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-impl QuantizedBoostHd {
-    /// Serializes the bitpacked ensemble to the compact binary format (v2).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Full-blob encode body shared with the fleet store.
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_QUANT_BOOST);
-        w.put_u64(self.dim_total() as u64);
-        w.put_u8(voting_tag(self.voting()));
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        w.put_u64(self.num_learners() as u64);
-        for i in 0..self.num_learners() {
-            let (class_bits, alpha, start, end, own_encoder) = self.learner_parts(i);
-            w.put_f32(alpha);
-            w.put_u64(start as u64);
-            w.put_u64(end as u64);
-            w.put_packed_matrix(class_bits);
-            match own_encoder {
-                None => w.put_u8(0),
-                Some(enc) => {
-                    w.put_u8(1);
-                    put_encoder(w, enc);
-                }
-            }
-        }
-    }
-
-    /// Deserializes an ensemble written by [`QuantizedBoostHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
-    /// Full-blob decode body shared with the fleet store.
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_QUANT_BOOST)?;
-        let dim_total = r.get_len()?;
-        let voting = voting_from(r.get_u8()?)?;
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let n_learners = r.get_len()?;
-        let mut learners = Vec::with_capacity(n_learners.min(1 << 16));
-        for _ in 0..n_learners {
-            let alpha = r.get_f32()?;
-            let seg_start = r.get_len()?;
-            let seg_end = r.get_len()?;
-            let class_bits = r.get_packed_matrix()?;
-            let own_encoder = match r.get_u8()? {
-                0 => None,
-                1 => Some(get_encoder(r, version)?),
-                other => return Err(persist_err(format!("unknown encoder tag {other}"))),
-            };
-            learners.push(QuantizedWeakLearner {
-                class_bits,
-                alpha,
-                seg_start,
-                seg_end,
-                own_encoder,
-            });
-        }
-        Self::from_parts(encoder, learners, num_classes, voting, dim_total)
-    }
-
-    /// Writes the ensemble to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads an ensemble written by [`QuantizedBoostHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedBoostHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-impl QuantizedI8Hd {
-    /// Serializes the scaled-int8 model to the compact binary format (v4).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Full-blob encode body shared with the fleet store.
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_QUANT_I8_ONLINE);
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        put_i8_rows(w, self.classes());
-    }
-
-    /// Deserializes a model written by [`QuantizedI8Hd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
-    /// Full-blob decode body shared with the fleet store.
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_QUANT_I8_ONLINE)?;
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let classes = get_i8_rows(r)?;
-        Self::from_parts(encoder, classes, num_classes)
-    }
-
-    /// Writes the model to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads a model written by [`QuantizedI8Hd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedI8Hd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-impl QuantizedI8BoostHd {
-    /// Serializes the scaled-int8 ensemble to the compact binary format
-    /// (v4).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Full-blob encode body shared with the fleet store.
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_QUANT_I8_BOOST);
-        w.put_u64(self.dim_total() as u64);
-        w.put_u8(voting_tag(self.voting()));
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        w.put_u64(self.num_learners() as u64);
-        for learner in self.learners() {
-            w.put_f32(learner.alpha);
-            w.put_u64(learner.seg_start as u64);
-            w.put_u64(learner.seg_end as u64);
-            put_i8_rows(w, &learner.classes);
-            match &learner.own_encoder {
-                None => w.put_u8(0),
-                Some(enc) => {
-                    w.put_u8(1);
-                    put_encoder(w, enc);
-                }
-            }
-        }
-    }
-
-    /// Deserializes an ensemble written by
-    /// [`QuantizedI8BoostHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
-    /// Full-blob decode body shared with the fleet store.
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_QUANT_I8_BOOST)?;
-        let dim_total = r.get_len()?;
-        let voting = voting_from(r.get_u8()?)?;
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let n_learners = r.get_len()?;
-        let mut learners = Vec::with_capacity(n_learners.min(1 << 16));
-        for _ in 0..n_learners {
-            let alpha = r.get_f32()?;
-            let seg_start = r.get_len()?;
-            let seg_end = r.get_len()?;
-            let classes = get_i8_rows(r)?;
-            let own_encoder = match r.get_u8()? {
-                0 => None,
-                1 => Some(get_encoder(r, version)?),
-                other => return Err(persist_err(format!("unknown encoder tag {other}"))),
-            };
-            learners.push(QuantizedI8WeakLearner {
-                classes,
-                alpha,
-                seg_start,
-                seg_end,
-                own_encoder,
-            });
-        }
-        Self::from_parts(encoder, learners, num_classes, voting, dim_total)
-    }
-
-    /// Writes the ensemble to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads an ensemble written by [`QuantizedI8BoostHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedI8BoostHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
-    }
-}
+blob_codec!(BoostHd);
 
 #[cfg(test)]
 mod tests {

@@ -49,12 +49,11 @@ use std::sync::Mutex;
 
 use crate::boost::BoostHd;
 use crate::centroid::CentroidHd;
-use crate::classifier::{argmax, predict_batch_chunked, Classifier};
+use crate::classifier::{argmax, map_row_chunks, predict_batch_chunked, Classifier};
 use crate::error::{BoostHdError, Result};
+use crate::frozen::{ClassMemory, Ensemble, Single};
 use crate::online::OnlineHd;
-use crate::persist::{Reader, Writer};
-use crate::quantized::{QuantizedBoostHd, QuantizedHd};
-use crate::quantized_i8::{QuantizedI8BoostHd, QuantizedI8Hd};
+use crate::persist::{format_of, Reader, Writer, FORMATS};
 use crate::spec::{BaselineSpec, ModelSpec};
 use faults::BitflipReport;
 use linalg::autotune::{Tuning, TuningSource};
@@ -76,13 +75,13 @@ pub enum PayloadKind {
     CentroidHd,
     /// Dense-f32 boosted ensemble ([`BoostHd::to_bytes`]).
     BoostHd,
-    /// Bitpacked single-learner model ([`QuantizedHd::to_bytes`]).
+    /// Bitpacked single-learner model ([`crate::QuantizedHd`]).
     QuantizedHd,
-    /// Bitpacked boosted ensemble ([`QuantizedBoostHd::to_bytes`]).
+    /// Bitpacked boosted ensemble ([`crate::QuantizedBoostHd`]).
     QuantizedBoostHd,
-    /// Int8 single-learner model ([`QuantizedI8Hd::to_bytes`]).
+    /// Int8 single-learner model ([`crate::QuantizedI8Hd`]).
     QuantizedI8Hd,
-    /// Int8 boosted ensemble ([`QuantizedI8BoostHd::to_bytes`]).
+    /// Int8 boosted ensemble ([`crate::QuantizedI8BoostHd`]).
     QuantizedI8BoostHd,
     /// No binary codec (the classical baselines); saving reports a clear
     /// error instead of writing an unreadable blob.
@@ -90,31 +89,34 @@ pub enum PayloadKind {
 }
 
 impl PayloadKind {
+    /// The envelope/store payload tag ([`crate::persist`] kind table);
+    /// 0 for [`PayloadKind::Unsupported`].
     fn tag(self) -> u8 {
-        match self {
-            PayloadKind::Unsupported => 0,
-            PayloadKind::OnlineHd => 1,
-            PayloadKind::CentroidHd => 2,
-            PayloadKind::BoostHd => 3,
-            PayloadKind::QuantizedHd => 4,
-            PayloadKind::QuantizedBoostHd => 5,
-            PayloadKind::QuantizedI8Hd => 6,
-            PayloadKind::QuantizedI8BoostHd => 7,
-        }
+        format_of(self).map_or(0, |f| f.tag)
     }
 
     fn from_tag(tag: u8) -> Result<Self> {
-        Ok(match tag {
-            0 => PayloadKind::Unsupported,
-            1 => PayloadKind::OnlineHd,
-            2 => PayloadKind::CentroidHd,
-            3 => PayloadKind::BoostHd,
-            4 => PayloadKind::QuantizedHd,
-            5 => PayloadKind::QuantizedBoostHd,
-            6 => PayloadKind::QuantizedI8Hd,
-            7 => PayloadKind::QuantizedI8BoostHd,
-            other => return Err(pipeline_err(format!("unknown payload kind {other}"))),
-        })
+        match tag {
+            0 => Ok(PayloadKind::Unsupported),
+            _ => FORMATS
+                .iter()
+                .find(|f| f.tag == tag)
+                .map(|f| f.payload)
+                .ok_or_else(|| pipeline_err(format!("unknown payload kind {tag}"))),
+        }
+    }
+
+    /// Decodes a full BHD1 blob of this kind from `r`.
+    fn decode(self, r: &mut Reader<'_>, what: &str) -> Result<Box<dyn Model>> {
+        let format = format_of(self)
+            .ok_or_else(|| pipeline_err(format!("{what} holds no loadable payload")))?;
+        (format.decode)(r)
+    }
+}
+
+fn no_codec() -> BoostHdError {
+    BoostHdError::InvalidConfig {
+        reason: "model family has no binary codec; only the HDC models persist".into(),
     }
 }
 
@@ -122,8 +124,11 @@ impl PayloadKind {
 /// persistence hooks the envelope needs, object-safe so heterogeneous
 /// model zoos are `Vec<Pipeline>` instead of bespoke enums.
 ///
-/// Implemented by the five HDC models here and by the classical baselines
-/// in the `baselines` crate.
+/// Implemented by the seven HDC models here — trained [`OnlineHd`] and
+/// [`BoostHd`] plus the frozen [`Single`] and [`Ensemble`] shapes over
+/// every [`ClassMemory`] (which cover [`CentroidHd`] and the four
+/// quantized models) — and by the classical baselines in the `baselines`
+/// crate.
 pub trait Model: Classifier + Send + Sync {
     /// Which binary codec [`Model::to_payload`] writes.
     fn payload_kind(&self) -> PayloadKind;
@@ -145,13 +150,18 @@ pub trait Model: Classifier + Send + Sync {
     /// parameter storage (the tree-based baselines).
     fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> Result<BitflipReport>;
 
-    /// Serializes the model through its binary codec.
+    /// Serializes the model through its binary codec (by default, the
+    /// inline form of [`Model::encode_store`]).
     ///
     /// # Errors
     ///
     /// Returns [`BoostHdError::InvalidConfig`] for families without a
     /// codec ([`PayloadKind::Unsupported`]).
-    fn to_payload(&self) -> Result<Vec<u8>>;
+    fn to_payload(&self) -> Result<Vec<u8>> {
+        let mut w = Writer::new();
+        self.encode_store(&mut w)?;
+        Ok(w.into_bytes())
+    }
 
     /// Writes the model's full blob through `w` — with a heap-mode writer
     /// this is the fleet store's record body, splitting bulk arrays into
@@ -163,9 +173,7 @@ pub trait Model: Classifier + Send + Sync {
     /// codec (the default implementation).
     fn encode_store(&self, w: &mut Writer) -> Result<()> {
         let _ = w;
-        Err(BoostHdError::InvalidConfig {
-            reason: "model family has no binary codec; only the HDC models persist".into(),
-        })
+        Err(no_codec())
     }
 
     /// Upcast for concrete-type escape hatches ([`Pipeline::downcast_ref`]).
@@ -176,8 +184,8 @@ pub trait Model: Classifier + Send + Sync {
 }
 
 macro_rules! impl_hdc_model {
-    ($ty:ty, $kind:expr, $inject:path) => {
-        impl Model for $ty {
+    ($ty:ty $(where $g:ident: $bound:path)?, $kind:expr, $inject:path) => {
+        impl$(<$g: $bound>)? Model for $ty {
             fn payload_kind(&self) -> PayloadKind {
                 $kind
             }
@@ -187,10 +195,10 @@ macro_rules! impl_hdc_model {
             fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> Result<BitflipReport> {
                 Ok($inject(self, p_b, rng))
             }
-            fn to_payload(&self) -> Result<Vec<u8>> {
-                Ok(self.to_bytes())
-            }
             fn encode_store(&self, w: &mut Writer) -> Result<()> {
+                if $kind == PayloadKind::Unsupported {
+                    return Err(no_codec());
+                }
                 self.encode_into(w);
                 Ok(())
             }
@@ -205,28 +213,9 @@ macro_rules! impl_hdc_model {
 }
 
 impl_hdc_model!(OnlineHd, PayloadKind::OnlineHd, faults::flip_bits);
-impl_hdc_model!(CentroidHd, PayloadKind::CentroidHd, faults::flip_bits);
 impl_hdc_model!(BoostHd, PayloadKind::BoostHd, faults::flip_bits);
-impl_hdc_model!(
-    QuantizedHd,
-    PayloadKind::QuantizedHd,
-    faults::flip_sign_bits
-);
-impl_hdc_model!(
-    QuantizedBoostHd,
-    PayloadKind::QuantizedBoostHd,
-    faults::flip_sign_bits
-);
-impl_hdc_model!(
-    QuantizedI8Hd,
-    PayloadKind::QuantizedI8Hd,
-    crate::quantized_i8::flip_hd_i8_bits
-);
-impl_hdc_model!(
-    QuantizedI8BoostHd,
-    PayloadKind::QuantizedI8BoostHd,
-    crate::quantized_i8::flip_boost_i8_bits
-);
+impl_hdc_model!(Single<M> where M: ClassMemory, M::SINGLE, Single::inject_bitflips);
+impl_hdc_model!(Ensemble<M> where M: ClassMemory, M::ENSEMBLE, Ensemble::inject_bitflips);
 
 /// Builder the `baselines` crate registers so [`Pipeline::fit`] can
 /// construct [`ModelSpec::Baseline`] models without a dependency cycle
@@ -376,36 +365,16 @@ impl Pipeline {
             ModelSpec::CentroidHd(c) => Box::new(CentroidHd::fit(c, x, y)?),
             ModelSpec::BoostHd(c) => Box::new(BoostHd::fit(c, x, y)?),
             ModelSpec::QuantizedOnlineHd { base, refit_epochs } => {
-                let dense = OnlineHd::fit(base, x, y)?;
-                Box::new(if *refit_epochs == 0 {
-                    dense.quantize()
-                } else {
-                    dense.quantize_with_refit(x, y, *refit_epochs)?
-                })
+                Box::new(OnlineHd::fit(base, x, y)?.quantize_with_refit(x, y, *refit_epochs)?)
             }
             ModelSpec::QuantizedBoostHd { base, refit_epochs } => {
-                let dense = BoostHd::fit(base, x, y)?;
-                Box::new(if *refit_epochs == 0 {
-                    dense.quantize()
-                } else {
-                    dense.quantize_with_refit(x, y, *refit_epochs)?
-                })
+                Box::new(BoostHd::fit(base, x, y)?.quantize_with_refit(x, y, *refit_epochs)?)
             }
             ModelSpec::QuantizedI8OnlineHd { base, refit_epochs } => {
-                let dense = OnlineHd::fit(base, x, y)?;
-                Box::new(if *refit_epochs == 0 {
-                    dense.quantize_i8()
-                } else {
-                    dense.quantize_i8_with_refit(x, y, *refit_epochs)?
-                })
+                Box::new(OnlineHd::fit(base, x, y)?.quantize_i8_with_refit(x, y, *refit_epochs)?)
             }
             ModelSpec::QuantizedI8BoostHd { base, refit_epochs } => {
-                let dense = BoostHd::fit(base, x, y)?;
-                Box::new(if *refit_epochs == 0 {
-                    dense.quantize_i8()
-                } else {
-                    dense.quantize_i8_with_refit(x, y, *refit_epochs)?
-                })
+                Box::new(BoostHd::fit(base, x, y)?.quantize_i8_with_refit(x, y, *refit_epochs)?)
             }
             ModelSpec::Baseline(b) => baseline_builder()?(b, x, y)?,
         };
@@ -560,18 +529,27 @@ impl Pipeline {
         threads: usize,
         backend: crate::parallel::ExecBackend,
     ) -> Vec<Prediction> {
-        let rows = x.rows();
-        let workers = threads.clamp(1, rows.max(1));
-        if workers <= 1 {
-            return self.predict_batch_with_confidence(x);
-        }
-        crate::parallel::parallel_map_indices_with(backend, workers, workers, |w| {
-            let (start, end) = crate::parallel::chunk_bounds(rows, workers, w);
-            self.predict_batch_with_confidence(&x.slice_rows(start, end))
+        map_row_chunks(x, threads, backend, |chunk| {
+            self.predict_batch_with_confidence(chunk)
         })
-        .into_iter()
-        .flatten()
-        .collect()
+    }
+
+    /// The payload kind the model persists as.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoostHdError::InvalidConfig`] for families without a
+    /// binary codec (the classical baselines).
+    fn persisted_kind(&self) -> Result<PayloadKind> {
+        match self.model.payload_kind() {
+            PayloadKind::Unsupported => Err(BoostHdError::InvalidConfig {
+                reason: format!(
+                    "model family `{}` has no binary codec; only the HDC models persist",
+                    self.spec.display_name()
+                ),
+            }),
+            kind => Ok(kind),
+        }
     }
 
     /// Serializes the pipeline — spec, abstention threshold, and model
@@ -582,17 +560,8 @@ impl Pipeline {
     /// Returns [`BoostHdError::InvalidConfig`] for families without a
     /// binary codec (the classical baselines).
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let kind = self.model.payload_kind();
-        if kind == PayloadKind::Unsupported {
-            return Err(BoostHdError::InvalidConfig {
-                reason: format!(
-                    "model family `{}` has no binary codec; only the HDC models persist",
-                    self.spec.display_name()
-                ),
-            });
-        }
+        let kind = self.persisted_kind()?;
         let payload = self.model.to_payload()?;
-        let spec_toml = self.spec.to_toml();
         let tuning = linalg::autotune::tuning();
         let mut w = Writer::new();
         w.put_u32(ENVELOPE_MAGIC);
@@ -602,14 +571,8 @@ impl Pipeline {
         w.put_u32(tuning.score_chunk as u32);
         w.put_u32(tuning.threads as u32);
         w.put_u8(tuning.source.tag());
-        w.put_u64(spec_toml.len() as u64);
-        for &b in spec_toml.as_bytes() {
-            w.put_u8(b);
-        }
-        w.put_u64(payload.len() as u64);
-        for &b in &payload {
-            w.put_u8(b);
-        }
+        put_counted(&mut w, self.spec.to_toml().as_bytes());
+        put_counted(&mut w, &payload);
         Ok(w.into_bytes())
     }
 
@@ -652,36 +615,17 @@ impl Pipeline {
         // bytes actually present before any allocation, so a corrupted
         // prefix fails descriptively instead of aborting on a huge
         // reserve.
-        let spec_len = r.get_len()?;
-        let spec_bytes = r.get_bytes(spec_len, "envelope spec")?;
-        let spec_toml = std::str::from_utf8(spec_bytes)
-            .map_err(|_| pipeline_err("envelope spec is not valid UTF-8"))?;
-        let spec = ModelSpec::from_toml_str(spec_toml)?;
-        if expected_payload_kind(&spec) != kind {
-            return Err(BoostHdError::InvalidConfig {
-                reason: format!(
-                    "envelope payload kind disagrees with its spec (`{}`)",
-                    spec.kind_tag()
-                ),
-            });
-        }
+        let spec = read_spec(&mut r, kind, "envelope")?;
         let payload_len = r.get_len()?;
         let payload = r.get_bytes(payload_len, "envelope payload")?;
         if !r.is_exhausted() {
             return Err(pipeline_err("trailing bytes after pipeline envelope"));
         }
-        let model: Box<dyn Model> = match kind {
-            PayloadKind::OnlineHd => Box::new(OnlineHd::from_bytes(payload)?),
-            PayloadKind::CentroidHd => Box::new(CentroidHd::from_bytes(payload)?),
-            PayloadKind::BoostHd => Box::new(BoostHd::from_bytes(payload)?),
-            PayloadKind::QuantizedHd => Box::new(QuantizedHd::from_bytes(payload)?),
-            PayloadKind::QuantizedBoostHd => Box::new(QuantizedBoostHd::from_bytes(payload)?),
-            PayloadKind::QuantizedI8Hd => Box::new(QuantizedI8Hd::from_bytes(payload)?),
-            PayloadKind::QuantizedI8BoostHd => Box::new(QuantizedI8BoostHd::from_bytes(payload)?),
-            PayloadKind::Unsupported => {
-                return Err(pipeline_err("envelope holds no loadable payload"));
-            }
-        };
+        let mut payload = Reader::new(payload);
+        let model = kind.decode(&mut payload, "envelope")?;
+        if !payload.is_exhausted() {
+            return Err(pipeline_err("trailing bytes after model blob"));
+        }
         let mut pipeline = Self::from_model(spec, model);
         pipeline.set_abstain_threshold(abstain_threshold);
         pipeline.saved_tuning = saved_tuning;
@@ -725,23 +669,11 @@ impl Pipeline {
     /// Returns [`BoostHdError::InvalidConfig`] for families without a
     /// binary codec (the classical baselines).
     pub(crate) fn encode_store_parts(&self) -> Result<(Vec<u8>, Vec<u8>)> {
-        let kind = self.model.payload_kind();
-        if kind == PayloadKind::Unsupported {
-            return Err(BoostHdError::InvalidConfig {
-                reason: format!(
-                    "model family `{}` has no binary codec; only the HDC models persist",
-                    self.spec.display_name()
-                ),
-            });
-        }
-        let spec_toml = self.spec.to_toml();
+        let kind = self.persisted_kind()?;
         let mut w = Writer::new_with_heap();
         w.put_u8(kind.tag());
         w.put_f32(self.abstain_threshold);
-        w.put_u64(spec_toml.len() as u64);
-        for &b in spec_toml.as_bytes() {
-            w.put_u8(b);
-        }
+        put_counted(&mut w, self.spec.to_toml().as_bytes());
         self.model.encode_store(&mut w)?;
         Ok(w.into_parts())
     }
@@ -766,31 +698,8 @@ impl Pipeline {
         let mut r = Reader::new_shared(structure, blob, heap_base, heap_len)?;
         let kind = PayloadKind::from_tag(r.get_u8()?)?;
         let abstain_threshold = r.get_f32()?;
-        let spec_len = r.get_len()?;
-        let spec_bytes = r.get_bytes(spec_len, "store record spec")?;
-        let spec_toml = std::str::from_utf8(spec_bytes)
-            .map_err(|_| pipeline_err("store record spec is not valid UTF-8"))?;
-        let spec = ModelSpec::from_toml_str(spec_toml)?;
-        if expected_payload_kind(&spec) != kind {
-            return Err(BoostHdError::InvalidConfig {
-                reason: format!(
-                    "store record payload kind disagrees with its spec (`{}`)",
-                    spec.kind_tag()
-                ),
-            });
-        }
-        let model: Box<dyn Model> = match kind {
-            PayloadKind::OnlineHd => Box::new(OnlineHd::decode_from(&mut r)?),
-            PayloadKind::CentroidHd => Box::new(CentroidHd::decode_from(&mut r)?),
-            PayloadKind::BoostHd => Box::new(BoostHd::decode_from(&mut r)?),
-            PayloadKind::QuantizedHd => Box::new(QuantizedHd::decode_from(&mut r)?),
-            PayloadKind::QuantizedBoostHd => Box::new(QuantizedBoostHd::decode_from(&mut r)?),
-            PayloadKind::QuantizedI8Hd => Box::new(QuantizedI8Hd::decode_from(&mut r)?),
-            PayloadKind::QuantizedI8BoostHd => Box::new(QuantizedI8BoostHd::decode_from(&mut r)?),
-            PayloadKind::Unsupported => {
-                return Err(pipeline_err("store record holds no loadable payload"));
-            }
-        };
+        let spec = read_spec(&mut r, kind, "store record")?;
+        let model = kind.decode(&mut r, "store record")?;
         if !r.is_exhausted() {
             return Err(pipeline_err("trailing bytes after store record structure"));
         }
@@ -798,6 +707,30 @@ impl Pipeline {
         pipeline.set_abstain_threshold(abstain_threshold);
         Ok(pipeline)
     }
+}
+
+/// Writes a length-prefixed byte section.
+fn put_counted(w: &mut Writer, bytes: &[u8]) {
+    w.put_u64(bytes.len() as u64);
+    bytes.iter().for_each(|&b| w.put_u8(b));
+}
+
+/// Reads the counted spec TOML of an envelope or store record (`what`)
+/// and checks it against the payload kind the header announced.
+fn read_spec(r: &mut Reader<'_>, kind: PayloadKind, what: &str) -> Result<ModelSpec> {
+    let len = r.get_len()?;
+    let text = std::str::from_utf8(r.get_bytes(len, &format!("{what} spec"))?)
+        .map_err(|_| pipeline_err(format!("{what} spec is not valid UTF-8")))?;
+    let spec = ModelSpec::from_toml_str(text)?;
+    if expected_payload_kind(&spec) != kind {
+        return Err(BoostHdError::InvalidConfig {
+            reason: format!(
+                "{what} payload kind disagrees with its spec (`{}`)",
+                spec.kind_tag()
+            ),
+        });
+    }
+    Ok(spec)
 }
 
 /// The payload kind a spec's trained model serializes through.

@@ -1,4 +1,4 @@
-//! Frozen bitpacked inference models — the `quantize()` step.
+//! The 1-bit rung of the quantization ladder — the `quantize()` step.
 //!
 //! Training stays in f32 (gradient-like OnlineHD updates need magnitude
 //! information), but a *deployed* model only scores queries. Sign-binarizing
@@ -7,13 +7,14 @@
 //! every similarity into `⌈D/64⌉` XOR + popcount operations — the binary-HDC
 //! execution model wearable accelerators implement in hardware.
 //!
-//! [`OnlineHd::quantize`], [`CentroidHd::quantize`] and
-//! [`BoostHd::quantize`] freeze a trained f32 model into [`QuantizedHd`] /
-//! [`QuantizedBoostHd`]. Queries are encoded with the unchanged f32
-//! projection, sign-packed, and scored entirely in the packed domain, so
-//! class *and* query quantization noise are both bounded by the sign
-//! rounding — the packed arithmetic itself is exact (see
-//! `hdc::ops::packed_similarity`).
+//! This module is the [`ClassMemory`] impl for [`PackedMatrix`]; the frozen
+//! shapes over it are [`QuantizedHd`] and [`QuantizedBoostHd`]
+//! ([`crate::frozen`]). [`OnlineHd::quantize`], [`CentroidHd::quantize`] and
+//! [`BoostHd::quantize`] freeze a trained f32 model into them. Queries are
+//! encoded with the unchanged f32 projection, sign-packed, and scored
+//! entirely in the packed domain, so class *and* query quantization noise
+//! are both bounded by the sign rounding — the packed arithmetic itself is
+//! exact (see `hdc::ops::packed_similarity`).
 //!
 //! For fault-injection studies the packed models implement
 //! [`faults::PerturbablePacked`]: bit flips land directly on the
@@ -31,219 +32,130 @@
 //! every touched update. On the wearable workloads this recovers most of
 //! the sign-rounding loss at `D_wl = 400`.
 
-use crate::boost::{BoostHd, Voting};
-use crate::classifier::{argmax, argmax_rows, predict_batch_chunked, Classifier};
-use crate::error::{BoostHdError, Result};
+use crate::boost::BoostHd;
+use crate::error::Result;
+use crate::frozen::{ClassMemory, Ensemble, Single, Stores};
 use crate::online::OnlineHd;
+use crate::persist::{Reader, Writer};
+use crate::pipeline::PayloadKind;
 use crate::CentroidHd;
-use faults::PerturbablePacked;
+use faults::{BitflipReport, PerturbablePacked};
 use hdc::backend::{PackedHv, PackedMatrix};
-use hdc::encoder::{Encode, SinusoidEncoder};
-use linalg::matrix::norm;
-use linalg::Matrix;
-use serde::{Deserialize, Serialize};
-
-/// Straight-through refinement of one class matrix: score queries against
-/// the binarized classes (the deployment arithmetic), update f32 shadow
-/// weights with the OnlineHD rule on misclassification, and re-binarize
-/// the touched rows. Returns the final packed classes.
-fn refit_packed_classes(
-    z: &Matrix,
-    y: &[usize],
-    shadow: &mut Matrix,
-    lr: f32,
-    epochs: usize,
-) -> PackedMatrix {
-    let mut bits = PackedMatrix::from_dense_rows(shadow);
-    // Scratch reused across every sample and epoch: the packed query words
-    // and the per-class similarity buffer (kernel-backed popcount sweep).
-    let mut query_words: Vec<u64> = Vec::new();
-    let mut sims = vec![0.0f32; shadow.rows()];
-    for _epoch in 0..epochs {
-        for (r, &truth) in y.iter().enumerate() {
-            let h = z.row(r);
-            hdc::ops::pack_signs_into(h, &mut query_words);
-            bits.similarities_into(&query_words, &mut sims);
-            let pred = argmax(&sims);
-            if pred == truth {
-                continue;
-            }
-            let hn = norm(h);
-            if hn == 0.0 {
-                continue;
-            }
-            // The packed similarity lives on the cosine scale, so the
-            // (1 − δ) error weighting carries over unchanged; the sample is
-            // normalized like OnlineHd::update so one step nudges rather
-            // than overwrites the shadow direction.
-            hdc::ops::bundle_into(shadow.row_mut(truth), h, lr * (1.0 - sims[truth]) / hn);
-            hdc::ops::bundle_into(shadow.row_mut(pred), h, -lr * (1.0 - sims[pred]) / hn);
-            bits.set_row_signs(truth, shadow.row(truth));
-            bits.set_row_signs(pred, shadow.row(pred));
-        }
-    }
-    bits
-}
-
-/// Validates refit inputs against a trained model's shape (shared with the
-/// int8 tier in [`crate::quantized_i8`]).
-pub(crate) fn validate_refit_inputs(
-    x: &Matrix,
-    y: &[usize],
-    input_len: usize,
-    num_classes: usize,
-) -> Result<()> {
-    if x.rows() == 0 || x.rows() != y.len() {
-        return Err(BoostHdError::DataMismatch {
-            reason: format!("{} refit rows but {} labels", x.rows(), y.len()),
-        });
-    }
-    if x.cols() != input_len {
-        return Err(BoostHdError::DataMismatch {
-            reason: format!(
-                "refit samples have {} features but the encoder expects {input_len}",
-                x.cols()
-            ),
-        });
-    }
-    if let Some(&bad) = y.iter().find(|&&yi| yi >= num_classes) {
-        return Err(BoostHdError::DataMismatch {
-            reason: format!("refit label {bad} outside the {num_classes} trained classes"),
-        });
-    }
-    Ok(())
-}
+use linalg::{Matrix, Rng64};
 
 /// A frozen single-learner HDC classifier with bitpacked class
 /// hypervectors (quantized [`OnlineHd`] or [`CentroidHd`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantizedHd {
-    encoder: SinusoidEncoder,
-    class_bits: PackedMatrix,
-    num_classes: usize,
-}
+pub type QuantizedHd = Single<PackedMatrix>;
 
-impl QuantizedHd {
-    pub(crate) fn from_class_matrix(
-        encoder: SinusoidEncoder,
-        class_hvs: &Matrix,
-        num_classes: usize,
-    ) -> Self {
-        Self {
-            encoder,
-            class_bits: PackedMatrix::from_dense_rows(class_hvs),
-            num_classes,
-        }
+/// A frozen BoostHD ensemble with bitpacked weak learners.
+///
+/// Inference encodes the query once at full `D` with the f32 projection,
+/// sign-packs each weak learner's segment, and aggregates `α`-weighted
+/// popcount votes.
+pub type QuantizedBoostHd = Ensemble<PackedMatrix>;
+
+/// Sign-packed class rows; scores are `1 − 2·hamming/D`, the cosine of
+/// the bipolar vectors.
+impl ClassMemory for PackedMatrix {
+    /// The packed query words.
+    type Scratch = Vec<u64>;
+    const SINGLE: PayloadKind = PayloadKind::QuantizedHd;
+    const ENSEMBLE: PayloadKind = PayloadKind::QuantizedBoostHd;
+
+    fn from_dense(classes: &Matrix) -> Self {
+        PackedMatrix::from_dense_rows(classes)
     }
 
-    /// Reassembles a model from stored parts (the persistence path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for inconsistent shapes.
-    pub(crate) fn from_parts(
-        encoder: SinusoidEncoder,
-        class_bits: PackedMatrix,
-        num_classes: usize,
-    ) -> Result<Self> {
-        if class_bits.rows() != num_classes {
-            return Err(BoostHdError::DataMismatch {
-                reason: "packed class count disagrees with header".into(),
-            });
-        }
-        if class_bits.dim() != encoder.dim() {
-            return Err(BoostHdError::DataMismatch {
-                reason: "packed class width disagrees with encoder".into(),
-            });
-        }
-        Ok(Self {
-            encoder,
-            class_bits,
-            num_classes,
-        })
+    fn rows(&self) -> usize {
+        PackedMatrix::rows(self)
     }
 
-    /// Hyperspace dimensionality `D`.
-    pub fn dim(&self) -> usize {
-        self.class_bits.dim()
+    fn dim(&self) -> usize {
+        PackedMatrix::dim(self)
     }
 
-    /// The packed class hypervectors.
-    pub fn class_bits(&self) -> &PackedMatrix {
-        &self.class_bits
+    fn score_row(&self, h: &[f32], words: &mut Vec<u64>, out: &mut [f32]) {
+        hdc::ops::pack_signs_into(h, words);
+        self.similarities_into(words, out);
     }
 
-    /// The (f32) query encoder.
-    pub fn encoder(&self) -> &SinusoidEncoder {
-        &self.encoder
+    fn set_row(&mut self, r: usize, src: &[f32], _: &mut Vec<u64>) {
+        self.set_row_signs(r, src);
     }
 
-    /// Bytes of class-hypervector storage (the memory a 1-bit associative
-    /// memory would hold; excludes the shared projection).
-    pub fn class_storage_bytes(&self) -> usize {
-        std::mem::size_of_val(self.class_bits.as_words())
+    fn storage_bytes(&self) -> usize {
+        std::mem::size_of_val(self.as_words())
     }
 
-    /// Per-class popcount similarities for an already-packed query.
-    pub fn scores_packed(&self, query: &PackedHv) -> Vec<f32> {
-        self.class_bits.similarities(query)
+    fn inject_bitflips(memories: Vec<&mut Self>, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+        faults::flip_sign_bits(&mut Stores(memories), p_b, rng)
     }
 
-    /// Predicts every row of `x` using `threads` worker threads, each
-    /// running the batched encode + popcount sweep on a contiguous chunk.
-    /// Identical to [`Classifier::predict_batch`] for any thread count.
-    pub fn predict_batch_parallel(&self, x: &Matrix, threads: usize) -> Vec<usize> {
-        predict_batch_chunked(self, x, threads)
+    fn put(&self, w: &mut Writer) {
+        w.put_packed_matrix(self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        r.get_packed_matrix()
     }
 }
 
-impl Classifier for QuantizedHd {
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn scores(&self, x: &[f32]) -> Vec<f32> {
-        self.scores_packed(&self.encoder.encode_row_packed(x))
-    }
-
-    fn scores_batch(&self, x: &Matrix) -> Matrix {
-        // Walk the batch in row chunks through a reused encode buffer: the
-        // fused GEMM encodes each chunk, signs pack straight off the
-        // buffer, and one batched popcount sweep over the flat class words
-        // scores the whole chunk.
-        let mut out = Matrix::zeros(x.rows(), self.num_classes);
-        let mut zbuf = Matrix::zeros(0, 0);
-        let mut start = 0;
-        while start < x.rows() {
-            let end = (start + crate::online::score_chunk()).min(x.rows());
-            self.encoder
-                .encode_batch_into(&x.slice_rows(start, end), &mut zbuf);
-            let packed: Vec<PackedHv> = (0..zbuf.rows())
-                .map(|r| PackedHv::from_signs(zbuf.row(r)))
-                .collect();
-            let queries = PackedMatrix::from_rows(&packed)
-                .expect("chunk queries share the encoder dimension");
-            let sims = self.class_bits.batch_similarities(&queries);
-            for r in 0..sims.rows() {
-                out.row_mut(start + r).copy_from_slice(sims.row(r));
-            }
-            start = end;
+/// Flips valid (non-padding) bit `index` of a sequence of packed
+/// matrices, where bits are numbered row-major over each `rows × dim`
+/// grid in turn.
+fn flip_packed_bit<'a>(memories: impl IntoIterator<Item = &'a mut PackedMatrix>, mut index: u64) {
+    for m in memories {
+        if index < m.bit_count() {
+            let dim = m.dim() as u64;
+            let (row, offset) = ((index / dim) as usize, (index % dim) as usize);
+            let words_per_row = m.as_words().len() / m.rows();
+            m.as_words_mut()[row * words_per_row + offset / 64] ^= 1u64 << (offset % 64);
+            return;
         }
-        out
+        index -= m.bit_count();
+    }
+    panic!("packed bit index out of range");
+}
+
+impl PerturbablePacked for Stores<'_, PackedMatrix> {
+    fn packed_bit_count(&self) -> u64 {
+        self.0.iter().map(|m| m.bit_count()).sum()
     }
 
-    fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        argmax_rows(&self.scores_batch(x))
+    fn flip_packed_bit(&mut self, index: u64) {
+        flip_packed_bit(self.0.iter_mut().map(|m| &mut **m), index);
     }
 }
 
 impl PerturbablePacked for QuantizedHd {
     fn packed_bit_count(&self) -> u64 {
-        self.class_bits.bit_count()
+        self.memory.bit_count()
     }
 
     fn flip_packed_bit(&mut self, index: u64) {
-        flip_matrix_bit(&mut self.class_bits, index);
+        flip_packed_bit([&mut self.memory], index);
+    }
+}
+
+impl PerturbablePacked for QuantizedBoostHd {
+    fn packed_bit_count(&self) -> u64 {
+        self.learners.iter().map(|l| l.memory.bit_count()).sum()
+    }
+
+    fn flip_packed_bit(&mut self, index: u64) {
+        flip_packed_bit(self.learners.iter_mut().map(|l| &mut l.memory), index);
+    }
+}
+
+impl QuantizedHd {
+    /// The packed class hypervectors.
+    pub fn class_bits(&self) -> &PackedMatrix {
+        &self.memory
+    }
+
+    /// Per-class popcount similarities for an already-packed query.
+    pub fn scores_packed(&self, query: &PackedHv) -> Vec<f32> {
+        self.memory.similarities(query)
     }
 }
 
@@ -251,11 +163,7 @@ impl OnlineHd {
     /// Freezes the trained model into a bitpacked inference model: class
     /// hypervectors sign-quantized into packed words, scoring via popcount.
     pub fn quantize(&self) -> QuantizedHd {
-        QuantizedHd::from_class_matrix(
-            self.encoder().clone(),
-            self.class_hypervectors(),
-            self.num_classes(),
-        )
+        self.single.freeze()
     }
 
     /// [`OnlineHd::quantize`] preceded by `epochs` of quantization-aware
@@ -263,19 +171,15 @@ impl OnlineHd {
     ///
     /// # Errors
     ///
-    /// Returns [`BoostHdError::DataMismatch`] for empty/inconsistent refit
-    /// data or out-of-range labels.
+    /// Returns [`crate::BoostHdError::DataMismatch`] for empty/inconsistent
+    /// refit data or out-of-range labels.
     pub fn quantize_with_refit(
         &self,
         x: &Matrix,
         y: &[usize],
         epochs: usize,
     ) -> Result<QuantizedHd> {
-        validate_refit_inputs(x, y, self.encoder().input_len(), self.num_classes())?;
-        let z = self.encoder().encode_batch(x);
-        let mut shadow = self.class_hypervectors().clone();
-        let class_bits = refit_packed_classes(&z, y, &mut shadow, self.config().lr, epochs);
-        QuantizedHd::from_parts(self.encoder().clone(), class_bits, self.num_classes())
+        self.single.refit(x, y, self.config().lr, epochs)
     }
 }
 
@@ -283,274 +187,7 @@ impl CentroidHd {
     /// Freezes the trained model into a bitpacked inference model; see
     /// [`OnlineHd::quantize`].
     pub fn quantize(&self) -> QuantizedHd {
-        QuantizedHd::from_class_matrix(
-            self.encoder().clone(),
-            self.class_hypervectors(),
-            self.num_classes(),
-        )
-    }
-}
-
-/// One frozen weak learner: packed class hypervectors plus its vote weight
-/// and hyperspace segment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct QuantizedWeakLearner {
-    pub(crate) class_bits: PackedMatrix,
-    pub(crate) alpha: f32,
-    pub(crate) seg_start: usize,
-    pub(crate) seg_end: usize,
-    /// Present only for full-dimension (ablation-mode) ensembles.
-    pub(crate) own_encoder: Option<SinusoidEncoder>,
-}
-
-/// A frozen BoostHD ensemble with bitpacked weak learners.
-///
-/// Inference encodes the query once at full `D` with the f32 projection,
-/// sign-packs each weak learner's segment, and aggregates `α`-weighted
-/// popcount votes — the batch popcount scoring path across weak learners.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantizedBoostHd {
-    encoder: SinusoidEncoder,
-    learners: Vec<QuantizedWeakLearner>,
-    num_classes: usize,
-    voting: Voting,
-    dim_total: usize,
-}
-
-impl QuantizedBoostHd {
-    pub(crate) fn from_model(model: &BoostHd) -> Self {
-        let learners = (0..model.num_learners())
-            .map(|i| {
-                let (alpha, seg_start, seg_end, own_encoder) = model.learner_parts(i);
-                QuantizedWeakLearner {
-                    class_bits: PackedMatrix::from_dense_rows(model.learner_class_hypervectors(i)),
-                    alpha,
-                    seg_start,
-                    seg_end,
-                    own_encoder: own_encoder.cloned(),
-                }
-            })
-            .collect();
-        Self {
-            encoder: model.encoder().clone(),
-            learners,
-            num_classes: model.num_classes(),
-            voting: model.config().voting,
-            dim_total: model.dim_total(),
-        }
-    }
-
-    /// Reassembles an ensemble from stored parts (the persistence path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for inconsistent segments or
-    /// class shapes.
-    pub(crate) fn from_parts(
-        encoder: SinusoidEncoder,
-        learners: Vec<QuantizedWeakLearner>,
-        num_classes: usize,
-        voting: Voting,
-        dim_total: usize,
-    ) -> Result<Self> {
-        for l in &learners {
-            if l.seg_start > l.seg_end || l.seg_end > dim_total {
-                return Err(BoostHdError::DataMismatch {
-                    reason: format!("segment {}..{} out of bounds", l.seg_start, l.seg_end),
-                });
-            }
-            if l.class_bits.rows() != num_classes {
-                return Err(BoostHdError::DataMismatch {
-                    reason: "learner class count disagrees with header".into(),
-                });
-            }
-            match &l.own_encoder {
-                None if l.class_bits.dim() != l.seg_end - l.seg_start => {
-                    return Err(BoostHdError::DataMismatch {
-                        reason: "packed class width disagrees with segment".into(),
-                    });
-                }
-                Some(enc) if l.class_bits.dim() != enc.dim() => {
-                    return Err(BoostHdError::DataMismatch {
-                        reason: "packed class width disagrees with learner encoder".into(),
-                    });
-                }
-                _ => {}
-            }
-        }
-        Ok(Self {
-            encoder,
-            learners,
-            num_classes,
-            voting,
-            dim_total,
-        })
-    }
-
-    /// Number of weak learners `N_L`.
-    pub fn num_learners(&self) -> usize {
-        self.learners.len()
-    }
-
-    /// Total hyperspace dimensionality `D_total`.
-    pub fn dim_total(&self) -> usize {
-        self.dim_total
-    }
-
-    /// Vote aggregation rule inherited from the f32 ensemble.
-    pub fn voting(&self) -> Voting {
-        self.voting
-    }
-
-    /// The shared full-`D` (f32) query encoder.
-    pub fn encoder(&self) -> &SinusoidEncoder {
-        &self.encoder
-    }
-
-    /// Vote weights `α_i`, in training order.
-    pub fn alphas(&self) -> Vec<f32> {
-        self.learners.iter().map(|l| l.alpha).collect()
-    }
-
-    /// Bytes of packed class-hypervector storage across all weak learners.
-    pub fn class_storage_bytes(&self) -> usize {
-        self.learners
-            .iter()
-            .map(|l| std::mem::size_of_val(l.class_bits.as_words()))
-            .sum()
-    }
-
-    pub(crate) fn learner_parts(
-        &self,
-        i: usize,
-    ) -> (&PackedMatrix, f32, usize, usize, Option<&SinusoidEncoder>) {
-        let l = &self.learners[i];
-        (
-            &l.class_bits,
-            l.alpha,
-            l.seg_start,
-            l.seg_end,
-            l.own_encoder.as_ref(),
-        )
-    }
-
-    /// `α`-weighted popcount votes for a query whose full-`D` dense
-    /// encoding is `full_h` (`x` is the raw feature row, needed only by
-    /// full-dimension ablation learners).
-    fn votes_for_encoded(&self, full_h: &[f32], x: &[f32]) -> Vec<f32> {
-        let mut votes = vec![0.0f32; self.num_classes];
-        for learner in &self.learners {
-            let sims = match &learner.own_encoder {
-                None => {
-                    let q = PackedHv::from_signs(&full_h[learner.seg_start..learner.seg_end]);
-                    learner.class_bits.similarities(&q)
-                }
-                Some(enc) => learner.class_bits.similarities(&enc.encode_row_packed(x)),
-            };
-            match self.voting {
-                Voting::Hard => votes[argmax(&sims)] += learner.alpha,
-                Voting::Soft => {
-                    for (v, s) in votes.iter_mut().zip(sims.iter()) {
-                        *v += learner.alpha * s;
-                    }
-                }
-            }
-        }
-        votes
-    }
-
-    /// Predicts every row of `x` using `threads` worker threads, each
-    /// running the batched encode + per-learner popcount sweeps on a
-    /// contiguous chunk (queries are independent; popcount scoring
-    /// parallelizes embarrassingly). Identical to
-    /// [`Classifier::predict_batch`] for any thread count.
-    pub fn predict_batch_parallel(&self, x: &Matrix, threads: usize) -> Vec<usize> {
-        predict_batch_chunked(self, x, threads)
-    }
-}
-
-impl Classifier for QuantizedBoostHd {
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn scores(&self, x: &[f32]) -> Vec<f32> {
-        let needs_full = self.learners.iter().any(|l| l.own_encoder.is_none());
-        let full_h = if needs_full {
-            self.encoder.encode_row(x)
-        } else {
-            Vec::new()
-        };
-        self.votes_for_encoded(&full_h, x)
-    }
-
-    fn scores_batch(&self, x: &Matrix) -> Matrix {
-        // Walk the batch in row chunks through a reused encode buffer; each
-        // chunk is encoded once at full `D`, then every weak learner packs
-        // its segment and scores the chunk with one batched popcount sweep
-        // over its packed class memory — learners visited in training order
-        // so the `α`-weighted vote sums accumulate exactly like the row
-        // path.
-        let mut votes = Matrix::zeros(x.rows(), self.num_classes);
-        let needs_full = self.learners.iter().any(|l| l.own_encoder.is_none());
-        let mut zbuf = Matrix::zeros(0, 0);
-        let mut start = 0;
-        while start < x.rows() {
-            let end = (start + crate::online::score_chunk()).min(x.rows());
-            let xc = x.slice_rows(start, end);
-            if needs_full {
-                self.encoder.encode_batch_into(&xc, &mut zbuf);
-            }
-            for learner in &self.learners {
-                let queries: Vec<PackedHv> = match &learner.own_encoder {
-                    None => (0..zbuf.rows())
-                        .map(|r| {
-                            PackedHv::from_signs(&zbuf.row(r)[learner.seg_start..learner.seg_end])
-                        })
-                        .collect(),
-                    Some(enc) => enc.encode_batch_packed(&xc),
-                };
-                let queries = PackedMatrix::from_rows(&queries)
-                    .expect("chunk queries share the segment width");
-                let sims = learner.class_bits.batch_similarities(&queries);
-                for r in 0..sims.rows() {
-                    let sims_row = sims.row(r);
-                    let vote_row = votes.row_mut(start + r);
-                    match self.voting {
-                        Voting::Hard => vote_row[argmax(sims_row)] += learner.alpha,
-                        Voting::Soft => {
-                            for (v, s) in vote_row.iter_mut().zip(sims_row.iter()) {
-                                *v += learner.alpha * s;
-                            }
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-        votes
-    }
-
-    fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        argmax_rows(&self.scores_batch(x))
-    }
-}
-
-impl PerturbablePacked for QuantizedBoostHd {
-    fn packed_bit_count(&self) -> u64 {
-        self.learners.iter().map(|l| l.class_bits.bit_count()).sum()
-    }
-
-    fn flip_packed_bit(&mut self, mut index: u64) {
-        for learner in &mut self.learners {
-            let bits = learner.class_bits.bit_count();
-            if index < bits {
-                flip_matrix_bit(&mut learner.class_bits, index);
-                return;
-            }
-            index -= bits;
-        }
-        panic!("packed bit index out of range");
+        self.freeze()
     }
 }
 
@@ -559,7 +196,7 @@ impl BoostHd {
     /// weak learner's class hypervectors sign-quantized into packed words,
     /// votes scored via popcount. See the [module docs](self).
     pub fn quantize(&self) -> QuantizedBoostHd {
-        QuantizedBoostHd::from_model(self)
+        self.ensemble.freeze()
     }
 
     /// [`BoostHd::quantize`] preceded by `epochs` of per-learner
@@ -574,63 +211,26 @@ impl BoostHd {
     ///
     /// # Errors
     ///
-    /// Returns [`BoostHdError::DataMismatch`] for empty/inconsistent refit
-    /// data or out-of-range labels.
+    /// Returns [`crate::BoostHdError::DataMismatch`] for empty/inconsistent
+    /// refit data or out-of-range labels.
     pub fn quantize_with_refit(
         &self,
         x: &Matrix,
         y: &[usize],
         epochs: usize,
     ) -> Result<QuantizedBoostHd> {
-        validate_refit_inputs(x, y, self.encoder().input_len(), self.num_classes())?;
-        let z = self.encoder().encode_batch(x);
-        let learners = (0..self.num_learners())
-            .map(|i| {
-                let (alpha, seg_start, seg_end, own_encoder) = self.learner_parts(i);
-                let zi = match own_encoder {
-                    None => z.slice_columns(seg_start, seg_end),
-                    Some(enc) => enc.encode_batch(x),
-                };
-                let mut shadow = self.learner_class_hypervectors(i).clone();
-                let class_bits =
-                    refit_packed_classes(&zi, y, &mut shadow, self.config().lr, epochs);
-                QuantizedWeakLearner {
-                    class_bits,
-                    alpha,
-                    seg_start,
-                    seg_end,
-                    own_encoder: own_encoder.cloned(),
-                }
-            })
-            .collect();
-        QuantizedBoostHd::from_parts(
-            self.encoder().clone(),
-            learners,
-            self.num_classes(),
-            self.config().voting,
-            self.dim_total(),
-        )
+        self.ensemble.refit(x, y, self.config().lr, epochs)
     }
-}
-
-/// Flips valid (non-padding) bit `index` of a packed matrix, where bits
-/// are numbered row-major over the `rows × dim` grid.
-fn flip_matrix_bit(m: &mut PackedMatrix, index: u64) {
-    let dim = m.dim() as u64;
-    let row = (index / dim) as usize;
-    let offset = (index % dim) as usize;
-    let words_per_row = m.as_words().len() / m.rows();
-    let word = row * words_per_row + offset / 64;
-    m.as_words_mut()[word] ^= 1u64 << (offset % 64);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::boost::BoostHdConfig;
+    use crate::classifier::Classifier;
     use crate::online::OnlineHdConfig;
     use faults::flip_sign_bits;
-    use linalg::Rng64;
+    use hdc::encoder::SinusoidEncoder;
 
     fn blobs(n: usize, seed: u64, sep: f32, noise: f32) -> (Matrix, Vec<usize>) {
         let mut rng = Rng64::seed_from(seed);
@@ -835,18 +435,10 @@ mod tests {
         // loading such a blob must Err instead of panicking at inference.
         let mut rng = linalg::Rng64::seed_from(0);
         let wrong_encoder = SinusoidEncoder::new(64, x.cols(), &mut rng);
-        let learners: Vec<QuantizedWeakLearner> = (0..good.num_learners())
-            .map(|i| {
-                let (class_bits, alpha, seg_start, seg_end, _) = good.learner_parts(i);
-                QuantizedWeakLearner {
-                    class_bits: class_bits.clone(),
-                    alpha,
-                    seg_start,
-                    seg_end,
-                    own_encoder: Some(wrong_encoder.clone()),
-                }
-            })
-            .collect();
+        let mut learners = good.learners.clone();
+        for l in &mut learners {
+            l.own_encoder = Some(wrong_encoder.clone());
+        }
         assert!(QuantizedBoostHd::from_parts(
             good.encoder().clone(),
             learners,
@@ -875,8 +467,8 @@ mod tests {
         // (from_parts round-trip would reject set padding).
         let mut changed = false;
         for i in 0..quantized.num_learners() {
-            let (bits, ..) = quantized.learner_parts(i);
-            let (bits_before, ..) = before.learner_parts(i);
+            let bits = &quantized.learners[i].memory;
+            let bits_before = &before.learners[i].memory;
             if bits != bits_before {
                 changed = true;
             }

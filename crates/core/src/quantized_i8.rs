@@ -26,11 +26,14 @@
 //! bytes (never persisted), so a save → load round trip reproduces scores
 //! bit-for-bit.
 //!
-//! For fault-injection studies the int8 models implement
-//! [`faults::PerturbableI8`]: flips land on the two's-complement byte
-//! encoding of stored components — the faithful single-event-upset model
-//! for int8 weight memories, where one upset perturbs one component by a
-//! power of two instead of an f32 exponent blow-up.
+//! This module is the [`ClassMemory`] impl for [`I8Rows`]; the frozen
+//! shapes over it are [`QuantizedI8Hd`] and [`QuantizedI8BoostHd`]
+//! ([`crate::frozen`]). Bit-flip injection lands on the two's-complement
+//! byte encoding of stored components ([`faults::flip_i8_bits`]) — the
+//! faithful single-event-upset model for int8 weight memories, where one
+//! upset perturbs one component by a power of two instead of an f32
+//! exponent blow-up — and re-derives the norms afterwards, as a deployed
+//! loader would.
 //!
 //! # Quantization-aware refit
 //!
@@ -41,14 +44,14 @@
 //! int8 the data-free rounding loss is already small, so refit is a
 //! polish rather than a rescue.
 
-use crate::boost::{BoostHd, Voting};
-use crate::classifier::{argmax, argmax_rows, predict_batch_chunked, Classifier};
+use crate::boost::BoostHd;
 use crate::error::{BoostHdError, Result};
+use crate::frozen::{ClassMemory, Ensemble, Single, Stores};
 use crate::online::OnlineHd;
-use crate::quantized::validate_refit_inputs;
+use crate::persist::{Reader, Writer};
+use crate::pipeline::PayloadKind;
 use crate::CentroidHd;
 use faults::{BitflipReport, PerturbableI8};
-use hdc::encoder::{Encode, SinusoidEncoder};
 use linalg::kernels::dot_i8;
 use linalg::matrix::norm;
 use linalg::{Matrix, Rng64, Storage};
@@ -74,11 +77,12 @@ pub(crate) fn quantize_row_into(src: &[f32], out: &mut Vec<i8>) -> f32 {
     max_abs / 127.0
 }
 
-/// A row-major block of int8-quantized rows: one signed byte per element,
-/// one dequantization scale per row, plus derived (never persisted)
-/// per-row inverse integer norms used by the cosine approximation.
+/// A row-major block of int8-quantized class rows: one signed byte per
+/// element, one dequantization scale per row, plus derived (never
+/// persisted) per-row inverse integer norms used by the cosine
+/// approximation (see the [module docs](self)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct I8Rows {
+pub struct I8Rows {
     data: Storage<i8>,
     scales: Vec<f32>,
     inv_qnorms: Vec<f32>,
@@ -86,41 +90,16 @@ pub(crate) struct I8Rows {
 }
 
 impl I8Rows {
-    /// Quantizes every row of a dense f32 matrix.
-    pub(crate) fn from_dense(m: &Matrix) -> Self {
-        let mut data = Vec::with_capacity(m.rows() * m.cols());
-        let mut scales = Vec::with_capacity(m.rows());
-        let mut qbuf = Vec::new();
-        for r in 0..m.rows() {
-            scales.push(quantize_row_into(m.row(r), &mut qbuf));
-            data.extend_from_slice(&qbuf);
-        }
-        let mut rows = Self {
-            data: data.into(),
-            scales,
-            inv_qnorms: Vec::new(),
-            cols: m.cols(),
-        };
-        rows.refresh_inv_qnorms();
-        rows
-    }
-
-    /// Reassembles from stored parts (the persistence path); inverse norms
-    /// are re-derived from the bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] when `data` is not
-    /// `scales.len() × cols` elements.
+    /// [`I8Rows::from_storage`] over an owned byte vector.
     #[cfg(test)]
     pub(crate) fn from_parts(data: Vec<i8>, scales: Vec<f32>, cols: usize) -> Result<Self> {
         Self::from_storage(data.into(), scales, cols)
     }
 
-    /// [`I8Rows::from_parts`] over any backing storage — accepts a
-    /// zero-copy shared view borrowed from a model-store blob as well as
-    /// an owned byte vector. Shared rows stay borrowed until the first
-    /// in-place mutation (refit, fault injection) promotes them.
+    /// Reassembles rows from stored parts, re-deriving the inverse norms
+    /// from the bytes; fails unless `data` is `scales.len() × cols`.
+    /// `data` may be a zero-copy view borrowed from a model-store blob; it
+    /// stays borrowed until the first in-place mutation promotes it.
     pub(crate) fn from_storage(data: Storage<i8>, scales: Vec<f32>, cols: usize) -> Result<Self> {
         if cols == 0 || data.len() != scales.len() * cols {
             return Err(BoostHdError::DataMismatch {
@@ -148,93 +127,138 @@ impl I8Rows {
         self.data.is_shared()
     }
 
-    pub(crate) fn rows(&self) -> usize {
-        self.scales.len()
-    }
-
-    pub(crate) fn cols(&self) -> usize {
-        self.cols
-    }
-
-    pub(crate) fn row(&self, r: usize) -> &[i8] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
+    #[cfg(test)]
     pub(crate) fn data(&self) -> &[i8] {
         &self.data
     }
 
-    pub(crate) fn data_mut(&mut self) -> &mut [i8] {
-        self.data.make_mut()
-    }
-
+    #[cfg(test)]
     pub(crate) fn scales(&self) -> &[f32] {
         &self.scales
     }
 
-    /// Bytes a deployed int8 memory would hold for these rows: the `i8`
-    /// grid plus one f32 scale per row (derived norms excluded — they are
-    /// recomputed at load).
-    pub(crate) fn storage_bytes(&self) -> usize {
-        self.data.len() + self.scales.len() * std::mem::size_of::<f32>()
-    }
-
     /// Recomputes the derived `1/‖q_r‖` cache from the stored bytes —
-    /// required after any in-place mutation of `data` (refit row updates,
-    /// fault injection).
-    pub(crate) fn refresh_inv_qnorms(&mut self) {
+    /// required after any in-place mutation of `data` (fault injection).
+    fn refresh_inv_qnorms(&mut self) {
         let cols = self.cols.max(1);
-        self.inv_qnorms = self
-            .data
-            .chunks(cols)
-            .map(|row| {
-                let n2: i64 = row.iter().map(|&q| (q as i64) * (q as i64)).sum();
-                if n2 == 0 {
-                    0.0
-                } else {
-                    (1.0 / (n2 as f64).sqrt()) as f32
-                }
-            })
-            .collect();
+        self.inv_qnorms = self.data.chunks(cols).map(inv_qnorm).collect();
     }
 
-    /// Re-quantizes row `r` from fresh f32 values (the refit path).
-    fn set_row_from(&mut self, r: usize, src: &[f32], qbuf: &mut Vec<i8>) {
-        self.scales[r] = quantize_row_into(src, qbuf);
-        let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-        row.copy_from_slice(qbuf);
-        let n2: i64 = row.iter().map(|&q| (q as i64) * (q as i64)).sum();
-        self.inv_qnorms[r] = if n2 == 0 {
-            0.0
-        } else {
-            (1.0 / (n2 as f64).sqrt()) as f32
+    /// The integer-dot sweep alone: scores an already-quantized query
+    /// (bytes `q`, combined cosine factor `f`) against every stored row.
+    /// Exactly the arithmetic [`ClassMemory::score_row`] performs after
+    /// quantizing, so pre-quantized and on-the-fly scoring agree
+    /// bit-for-bit.
+    fn scores_quantized_into(&self, q: &[i8], f: f32, out: &mut [f32]) {
+        debug_assert_eq!(q.len(), self.cols);
+        debug_assert_eq!(out.len(), self.scales.len());
+        if f == 0.0 {
+            out.fill(0.0);
+            return;
+        }
+        let rows = self.data.chunks(self.cols).zip(&self.inv_qnorms);
+        for (o, (row, &inv_qnorm)) in out.iter_mut().zip(rows) {
+            *o = dot_i8(row, q) as f32 * inv_qnorm * f;
+        }
+    }
+}
+
+/// `1/‖q‖` of one stored byte row (`0.0` for an all-zero row).
+fn inv_qnorm(row: &[i8]) -> f32 {
+    let n2: i64 = row.iter().map(|&q| (q as i64) * (q as i64)).sum();
+    if n2 == 0 {
+        0.0
+    } else {
+        (1.0 / (n2 as f64).sqrt()) as f32
+    }
+}
+
+/// Symmetric per-row int8 rows; scores approximate cosines.
+impl ClassMemory for I8Rows {
+    /// The quantized query bytes.
+    type Scratch = Vec<i8>;
+    const SINGLE: PayloadKind = PayloadKind::QuantizedI8Hd;
+    const ENSEMBLE: PayloadKind = PayloadKind::QuantizedI8BoostHd;
+
+    fn from_dense(classes: &Matrix) -> Self {
+        let (rows, cols) = (classes.rows(), classes.cols());
+        let mut frozen = Self {
+            data: vec![0; rows * cols].into(),
+            scales: vec![0.0; rows],
+            inv_qnorms: vec![0.0; rows],
+            cols,
         };
+        let mut qbuf = Vec::new();
+        for r in 0..rows {
+            frozen.set_row(r, classes.row(r), &mut qbuf);
+        }
+        frozen
     }
 
-    /// Approximate per-row cosine scores of query `h` against every stored
-    /// row (see the [module docs](self) for the formula). `qbuf` is caller
-    /// scratch and holds the quantized query on return.
-    fn scores_into(&self, h: &[f32], qbuf: &mut Vec<i8>, out: &mut [f32]) {
+    fn rows(&self) -> usize {
+        self.scales.len()
+    }
+
+    fn dim(&self) -> usize {
+        self.cols
+    }
+
+    fn score_row(&self, h: &[f32], qbuf: &mut Vec<i8>, out: &mut [f32]) {
         debug_assert_eq!(h.len(), self.cols);
         let f = query_factor(h, qbuf);
         self.scores_quantized_into(qbuf, f, out);
     }
 
-    /// The integer-dot sweep alone: scores an already-quantized query
-    /// (bytes `q`, combined cosine factor `f`) against every stored row.
-    /// Exactly the arithmetic [`I8Rows::scores_into`] performs after
-    /// quantizing, so pre-quantized and on-the-fly scoring agree
-    /// bit-for-bit.
-    fn scores_quantized_into(&self, q: &[i8], f: f32, out: &mut [f32]) {
-        debug_assert_eq!(q.len(), self.cols);
-        debug_assert_eq!(out.len(), self.rows());
-        if f == 0.0 {
-            out.fill(0.0);
-            return;
+    fn set_row(&mut self, r: usize, src: &[f32], qbuf: &mut Vec<i8>) {
+        self.scales[r] = quantize_row_into(src, qbuf);
+        let cols = self.cols;
+        let row = &mut self.data.make_mut()[r * cols..(r + 1) * cols];
+        row.copy_from_slice(qbuf);
+        self.inv_qnorms[r] = inv_qnorm(row);
+    }
+
+    /// The `i8` grid plus one f32 scale per row (derived norms excluded —
+    /// they are recomputed at load).
+    fn storage_bytes(&self) -> usize {
+        self.data.len() + self.scales.len() * std::mem::size_of::<f32>()
+    }
+
+    fn inject_bitflips(memories: Vec<&mut Self>, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+        let mut stores = Stores(memories);
+        let report = faults::flip_i8_bits(&mut stores, p_b, rng);
+        for rows in stores.0 {
+            rows.refresh_inv_qnorms();
         }
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = dot_i8(self.row(r), q) as f32 * self.inv_qnorms[r] * f;
+        report
+    }
+
+    fn put(&self, w: &mut Writer) {
+        w.put_u64(self.scales.len() as u64);
+        w.put_u64(self.cols as u64);
+        w.put_f32_slice(&self.scales);
+        w.put_i8_slice(&self.data);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let rows = r.get_len()?;
+        let cols = r.get_len()?;
+        let scales = r.get_f32_vec()?;
+        let data = r.get_i8_storage()?;
+        if scales.len() != rows {
+            return Err(BoostHdError::DataMismatch {
+                reason: "int8 scale count disagrees with row count".into(),
+            });
         }
+        I8Rows::from_storage(data, scales, cols)
+    }
+}
+
+impl PerturbableI8 for Stores<'_, I8Rows> {
+    fn i8_buffers_mut(&mut self) -> Vec<&mut [i8]> {
+        self.0
+            .iter_mut()
+            .map(|m| m.data.make_mut().as_mut_slice())
+            .collect()
     }
 }
 
@@ -260,8 +284,8 @@ fn query_factor(h: &[f32], qbuf: &mut Vec<i8>) -> f32 {
 /// per-patient model fleet, or a throughput benchmark's class-memory sweep
 /// — preparing the query once and reusing it amortizes that cost away,
 /// exactly like [`hdc::backend::PackedHv`] does for the 1-bit tier.
-/// [`QuantizedI8Hd::scores_quantized_into`] consumes it; results are
-/// bit-identical to [`QuantizedI8Hd::scores_encoded`] on the same `h`.
+/// `QuantizedI8Hd::scores_quantized_into` consumes it; results are
+/// bit-identical to `QuantizedI8Hd::scores_encoded` on the same `h`.
 #[derive(Debug, Clone)]
 pub struct QuantizedI8Query {
     q: Vec<i8>,
@@ -283,212 +307,36 @@ impl QuantizedI8Query {
     }
 }
 
-/// Straight-through refinement of one class matrix at int8: score queries
-/// against the quantized rows (the deployment arithmetic), update f32
-/// shadow weights with the OnlineHD rule on misclassification, and
-/// re-quantize the touched rows. Returns the final int8 rows.
-fn refit_i8_classes(
-    z: &Matrix,
-    y: &[usize],
-    shadow: &mut Matrix,
-    lr: f32,
-    epochs: usize,
-) -> I8Rows {
-    let mut classes = I8Rows::from_dense(shadow);
-    let mut qbuf: Vec<i8> = Vec::new();
-    let mut sims = vec![0.0f32; shadow.rows()];
-    for _epoch in 0..epochs {
-        for (r, &truth) in y.iter().enumerate() {
-            let h = z.row(r);
-            classes.scores_into(h, &mut qbuf, &mut sims);
-            let pred = argmax(&sims);
-            if pred == truth {
-                continue;
-            }
-            let hn = norm(h);
-            if hn == 0.0 {
-                continue;
-            }
-            // The int8 scores live on the cosine scale, so the (1 − δ)
-            // error weighting carries over from the f32 update rule.
-            hdc::ops::bundle_into(shadow.row_mut(truth), h, lr * (1.0 - sims[truth]) / hn);
-            hdc::ops::bundle_into(shadow.row_mut(pred), h, -lr * (1.0 - sims[pred]) / hn);
-            classes.set_row_from(truth, shadow.row(truth), &mut qbuf);
-            classes.set_row_from(pred, shadow.row(pred), &mut qbuf);
-        }
-    }
-    classes
-}
-
 /// A frozen single-learner HDC classifier with int8 class hypervectors
 /// (quantized [`OnlineHd`] or [`CentroidHd`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantizedI8Hd {
-    encoder: SinusoidEncoder,
-    classes: I8Rows,
-    num_classes: usize,
-}
+pub type QuantizedI8Hd = Single<I8Rows>;
+
+/// A frozen BoostHD ensemble with int8 weak learners.
+///
+/// Inference encodes the query once at full `D` with the f32 projection,
+/// quantizes each weak learner's segment independently (each segment gets
+/// its own query scale), and aggregates `α`-weighted integer-dot cosine
+/// votes.
+pub type QuantizedI8BoostHd = Ensemble<I8Rows>;
 
 impl QuantizedI8Hd {
-    pub(crate) fn from_class_matrix(
-        encoder: SinusoidEncoder,
-        class_hvs: &Matrix,
-        num_classes: usize,
-    ) -> Self {
-        Self {
-            encoder,
-            classes: I8Rows::from_dense(class_hvs),
-            num_classes,
-        }
-    }
-
-    /// Reassembles a model from stored parts (the persistence path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for inconsistent shapes.
-    pub(crate) fn from_parts(
-        encoder: SinusoidEncoder,
-        classes: I8Rows,
-        num_classes: usize,
-    ) -> Result<Self> {
-        if classes.rows() != num_classes {
-            return Err(BoostHdError::DataMismatch {
-                reason: "int8 class count disagrees with header".into(),
-            });
-        }
-        if classes.cols() != encoder.dim() {
-            return Err(BoostHdError::DataMismatch {
-                reason: "int8 class width disagrees with encoder".into(),
-            });
-        }
-        Ok(Self {
-            encoder,
-            classes,
-            num_classes,
-        })
-    }
-
-    /// Hyperspace dimensionality `D`.
-    pub fn dim(&self) -> usize {
-        self.classes.cols()
-    }
-
-    /// The (f32) query encoder.
-    pub fn encoder(&self) -> &SinusoidEncoder {
-        &self.encoder
-    }
-
+    #[cfg(test)]
     pub(crate) fn classes(&self) -> &I8Rows {
-        &self.classes
-    }
-
-    /// Bytes of class-hypervector storage a deployed int8 memory would
-    /// hold (bytes + per-row scales; excludes the shared projection).
-    pub fn class_storage_bytes(&self) -> usize {
-        self.classes.storage_bytes()
-    }
-
-    /// Per-class similarities for an already-encoded hypervector `h`
-    /// (quantize + integer-dot sweep, no encode) — the int8 analogue of
-    /// [`crate::OnlineHd::scores_encoded`] and
-    /// [`crate::QuantizedHd::scores_packed`], so scoring-tier comparisons
-    /// can time the associative-memory sweep in isolation.
-    pub fn scores_encoded(&self, h: &[f32]) -> Vec<f32> {
-        let mut qbuf = Vec::new();
-        let mut out = vec![0.0f32; self.num_classes];
-        self.scores_encoded_into(h, &mut qbuf, &mut out);
-        out
-    }
-
-    /// Allocation-free [`QuantizedI8Hd::scores_encoded`]: `qbuf` is
-    /// caller-owned scratch for the quantized query (reused across calls),
-    /// `out` must hold `num_classes` slots. The hot form a serving loop or
-    /// throughput benchmark should call.
-    pub fn scores_encoded_into(&self, h: &[f32], qbuf: &mut Vec<i8>, out: &mut [f32]) {
-        self.classes.scores_into(h, qbuf, out);
+        &self.memory
     }
 
     /// Per-class similarities for a pre-quantized query — the integer-dot
-    /// sweep alone, bit-identical to [`QuantizedI8Hd::scores_encoded`] on
-    /// the hypervector the query was built from. Use when one query is
-    /// scored against several int8 memories (see [`QuantizedI8Query`]).
+    /// sweep alone, bit-identical to `scores_encoded` on the hypervector
+    /// the query was built from. Use when one query is scored against
+    /// several int8 memories (see [`QuantizedI8Query`]).
     ///
     /// # Panics
     ///
     /// Panics in debug builds when the query dimensionality disagrees with
     /// the model's.
     pub fn scores_quantized_into(&self, query: &QuantizedI8Query, out: &mut [f32]) {
-        self.classes.scores_quantized_into(&query.q, query.f, out);
+        self.memory.scores_quantized_into(&query.q, query.f, out);
     }
-
-    /// Predicts every row of `x` using `threads` worker threads, each
-    /// running the batched encode + int8 dot sweep on a contiguous chunk.
-    /// Identical to [`Classifier::predict_batch`] for any thread count.
-    pub fn predict_batch_parallel(&self, x: &Matrix, threads: usize) -> Vec<usize> {
-        predict_batch_chunked(self, x, threads)
-    }
-}
-
-impl Classifier for QuantizedI8Hd {
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn scores(&self, x: &[f32]) -> Vec<f32> {
-        let h = self.encoder.encode_row(x);
-        let mut qbuf = Vec::new();
-        let mut out = vec![0.0f32; self.num_classes];
-        self.classes.scores_into(&h, &mut qbuf, &mut out);
-        out
-    }
-
-    fn scores_batch(&self, x: &Matrix) -> Matrix {
-        // Walk the batch in autotuned row chunks through a reused encode
-        // buffer; each encoded row quantizes into a reused scratch and one
-        // integer-dot sweep scores it against the class bytes. Chunking
-        // only batches the encode GEMM — every score is a per-row
-        // computation, so the chunk width cannot change results.
-        let mut out = Matrix::zeros(x.rows(), self.num_classes);
-        let mut zbuf = Matrix::zeros(0, 0);
-        let mut qbuf: Vec<i8> = Vec::new();
-        let chunk = linalg::autotune::score_chunk();
-        let mut start = 0;
-        while start < x.rows() {
-            let end = (start + chunk).min(x.rows());
-            self.encoder
-                .encode_batch_into(&x.slice_rows(start, end), &mut zbuf);
-            for r in 0..zbuf.rows() {
-                self.classes
-                    .scores_into(zbuf.row(r), &mut qbuf, out.row_mut(start + r));
-            }
-            start = end;
-        }
-        out
-    }
-
-    fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        argmax_rows(&self.scores_batch(x))
-    }
-}
-
-impl PerturbableI8 for QuantizedI8Hd {
-    fn i8_buffers_mut(&mut self) -> Vec<&mut [i8]> {
-        vec![self.classes.data_mut()]
-    }
-}
-
-/// [`faults::flip_i8_bits`] plus the derived-norm refresh the model needs
-/// afterwards — what a deployed loader would recompute from the corrupted
-/// bytes. This is the injection hook the pipeline layer dispatches to.
-pub(crate) fn flip_hd_i8_bits(
-    model: &mut QuantizedI8Hd,
-    p_b: f64,
-    rng: &mut Rng64,
-) -> BitflipReport {
-    let report = faults::flip_i8_bits(model, p_b, rng);
-    model.classes.refresh_inv_qnorms();
-    report
 }
 
 impl OnlineHd {
@@ -496,11 +344,7 @@ impl OnlineHd {
     /// class hypervectors quantized to symmetric per-row int8, scoring via
     /// the widening integer dot kernel. See the [module docs](self).
     pub fn quantize_i8(&self) -> QuantizedI8Hd {
-        QuantizedI8Hd::from_class_matrix(
-            self.encoder().clone(),
-            self.class_hypervectors(),
-            self.num_classes(),
-        )
+        self.single.freeze()
     }
 
     /// [`OnlineHd::quantize_i8`] preceded by `epochs` of quantization-aware
@@ -516,11 +360,7 @@ impl OnlineHd {
         y: &[usize],
         epochs: usize,
     ) -> Result<QuantizedI8Hd> {
-        validate_refit_inputs(x, y, self.encoder().input_len(), self.num_classes())?;
-        let z = self.encoder().encode_batch(x);
-        let mut shadow = self.class_hypervectors().clone();
-        let classes = refit_i8_classes(&z, y, &mut shadow, self.config().lr, epochs);
-        QuantizedI8Hd::from_parts(self.encoder().clone(), classes, self.num_classes())
+        self.single.refit(x, y, self.config().lr, epochs)
     }
 }
 
@@ -528,278 +368,8 @@ impl CentroidHd {
     /// Freezes the trained model into a scaled-integer inference model;
     /// see [`OnlineHd::quantize_i8`].
     pub fn quantize_i8(&self) -> QuantizedI8Hd {
-        QuantizedI8Hd::from_class_matrix(
-            self.encoder().clone(),
-            self.class_hypervectors(),
-            self.num_classes(),
-        )
+        self.freeze()
     }
-}
-
-/// One frozen weak learner: int8 class hypervectors plus its vote weight
-/// and hyperspace segment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct QuantizedI8WeakLearner {
-    pub(crate) classes: I8Rows,
-    pub(crate) alpha: f32,
-    pub(crate) seg_start: usize,
-    pub(crate) seg_end: usize,
-    /// Present only for full-dimension (ablation-mode) ensembles.
-    pub(crate) own_encoder: Option<SinusoidEncoder>,
-}
-
-/// A frozen BoostHD ensemble with int8 weak learners.
-///
-/// Inference encodes the query once at full `D` with the f32 projection,
-/// quantizes each weak learner's segment independently (each segment gets
-/// its own query scale), and aggregates `α`-weighted integer-dot cosine
-/// votes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantizedI8BoostHd {
-    encoder: SinusoidEncoder,
-    learners: Vec<QuantizedI8WeakLearner>,
-    num_classes: usize,
-    voting: Voting,
-    dim_total: usize,
-}
-
-impl QuantizedI8BoostHd {
-    pub(crate) fn from_model(model: &BoostHd) -> Self {
-        let learners = (0..model.num_learners())
-            .map(|i| {
-                let (alpha, seg_start, seg_end, own_encoder) = model.learner_parts(i);
-                QuantizedI8WeakLearner {
-                    classes: I8Rows::from_dense(model.learner_class_hypervectors(i)),
-                    alpha,
-                    seg_start,
-                    seg_end,
-                    own_encoder: own_encoder.cloned(),
-                }
-            })
-            .collect();
-        Self {
-            encoder: model.encoder().clone(),
-            learners,
-            num_classes: model.num_classes(),
-            voting: model.config().voting,
-            dim_total: model.dim_total(),
-        }
-    }
-
-    /// Reassembles an ensemble from stored parts (the persistence path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for inconsistent segments or
-    /// class shapes.
-    pub(crate) fn from_parts(
-        encoder: SinusoidEncoder,
-        learners: Vec<QuantizedI8WeakLearner>,
-        num_classes: usize,
-        voting: Voting,
-        dim_total: usize,
-    ) -> Result<Self> {
-        for l in &learners {
-            if l.seg_start > l.seg_end || l.seg_end > dim_total {
-                return Err(BoostHdError::DataMismatch {
-                    reason: format!("segment {}..{} out of bounds", l.seg_start, l.seg_end),
-                });
-            }
-            if l.classes.rows() != num_classes {
-                return Err(BoostHdError::DataMismatch {
-                    reason: "learner class count disagrees with header".into(),
-                });
-            }
-            match &l.own_encoder {
-                None if l.classes.cols() != l.seg_end - l.seg_start => {
-                    return Err(BoostHdError::DataMismatch {
-                        reason: "int8 class width disagrees with segment".into(),
-                    });
-                }
-                Some(enc) if l.classes.cols() != enc.dim() => {
-                    return Err(BoostHdError::DataMismatch {
-                        reason: "int8 class width disagrees with learner encoder".into(),
-                    });
-                }
-                _ => {}
-            }
-        }
-        Ok(Self {
-            encoder,
-            learners,
-            num_classes,
-            voting,
-            dim_total,
-        })
-    }
-
-    /// Number of weak learners `N_L`.
-    pub fn num_learners(&self) -> usize {
-        self.learners.len()
-    }
-
-    /// Total hyperspace dimensionality `D_total`.
-    pub fn dim_total(&self) -> usize {
-        self.dim_total
-    }
-
-    /// Vote aggregation rule inherited from the f32 ensemble.
-    pub fn voting(&self) -> Voting {
-        self.voting
-    }
-
-    /// The shared full-`D` (f32) query encoder.
-    pub fn encoder(&self) -> &SinusoidEncoder {
-        &self.encoder
-    }
-
-    /// Vote weights `α_i`, in training order.
-    pub fn alphas(&self) -> Vec<f32> {
-        self.learners.iter().map(|l| l.alpha).collect()
-    }
-
-    /// Bytes of int8 class-hypervector storage across all weak learners.
-    pub fn class_storage_bytes(&self) -> usize {
-        self.learners
-            .iter()
-            .map(|l| l.classes.storage_bytes())
-            .sum()
-    }
-
-    pub(crate) fn learners(&self) -> &[QuantizedI8WeakLearner] {
-        &self.learners
-    }
-
-    /// `α`-weighted int8 cosine votes for a query whose full-`D` dense
-    /// encoding is `full_h` (`x` is the raw feature row, needed only by
-    /// full-dimension ablation learners).
-    fn votes_for_encoded(&self, full_h: &[f32], x: &[f32]) -> Vec<f32> {
-        let mut votes = vec![0.0f32; self.num_classes];
-        let mut qbuf: Vec<i8> = Vec::new();
-        let mut sims = vec![0.0f32; self.num_classes];
-        for learner in &self.learners {
-            match &learner.own_encoder {
-                None => {
-                    let seg = &full_h[learner.seg_start..learner.seg_end];
-                    learner.classes.scores_into(seg, &mut qbuf, &mut sims);
-                }
-                Some(enc) => {
-                    let h = enc.encode_row(x);
-                    learner.classes.scores_into(&h, &mut qbuf, &mut sims);
-                }
-            }
-            match self.voting {
-                Voting::Hard => votes[argmax(&sims)] += learner.alpha,
-                Voting::Soft => {
-                    for (v, s) in votes.iter_mut().zip(sims.iter()) {
-                        *v += learner.alpha * s;
-                    }
-                }
-            }
-        }
-        votes
-    }
-
-    /// Predicts every row of `x` using `threads` worker threads, each
-    /// running the batched encode + per-learner integer-dot sweeps on a
-    /// contiguous chunk. Identical to [`Classifier::predict_batch`] for
-    /// any thread count.
-    pub fn predict_batch_parallel(&self, x: &Matrix, threads: usize) -> Vec<usize> {
-        predict_batch_chunked(self, x, threads)
-    }
-}
-
-impl Classifier for QuantizedI8BoostHd {
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn scores(&self, x: &[f32]) -> Vec<f32> {
-        let needs_full = self.learners.iter().any(|l| l.own_encoder.is_none());
-        let full_h = if needs_full {
-            self.encoder.encode_row(x)
-        } else {
-            Vec::new()
-        };
-        self.votes_for_encoded(&full_h, x)
-    }
-
-    fn scores_batch(&self, x: &Matrix) -> Matrix {
-        // Walk the batch in autotuned row chunks through a reused encode
-        // buffer; each chunk is encoded once at full `D`, then every weak
-        // learner quantizes its segment of each row and scores it with the
-        // integer-dot sweep — learners visited in training order so the
-        // `α`-weighted vote sums accumulate exactly like the row path.
-        let mut votes = Matrix::zeros(x.rows(), self.num_classes);
-        let needs_full = self.learners.iter().any(|l| l.own_encoder.is_none());
-        let mut zbuf = Matrix::zeros(0, 0);
-        let mut own_zbuf = Matrix::zeros(0, 0);
-        let mut qbuf: Vec<i8> = Vec::new();
-        let mut sims = vec![0.0f32; self.num_classes];
-        let chunk = linalg::autotune::score_chunk();
-        let mut start = 0;
-        while start < x.rows() {
-            let end = (start + chunk).min(x.rows());
-            let xc = x.slice_rows(start, end);
-            if needs_full {
-                self.encoder.encode_batch_into(&xc, &mut zbuf);
-            }
-            for learner in &self.learners {
-                let seg_rows: &Matrix = match &learner.own_encoder {
-                    None => &zbuf,
-                    Some(enc) => {
-                        enc.encode_batch_into(&xc, &mut own_zbuf);
-                        &own_zbuf
-                    }
-                };
-                for r in 0..xc.rows() {
-                    let seg = match &learner.own_encoder {
-                        None => &seg_rows.row(r)[learner.seg_start..learner.seg_end],
-                        Some(_) => seg_rows.row(r),
-                    };
-                    learner.classes.scores_into(seg, &mut qbuf, &mut sims);
-                    let vote_row = votes.row_mut(start + r);
-                    match self.voting {
-                        Voting::Hard => vote_row[argmax(&sims)] += learner.alpha,
-                        Voting::Soft => {
-                            for (v, s) in vote_row.iter_mut().zip(sims.iter()) {
-                                *v += learner.alpha * s;
-                            }
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-        votes
-    }
-
-    fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        argmax_rows(&self.scores_batch(x))
-    }
-}
-
-impl PerturbableI8 for QuantizedI8BoostHd {
-    fn i8_buffers_mut(&mut self) -> Vec<&mut [i8]> {
-        self.learners
-            .iter_mut()
-            .map(|l| l.classes.data_mut())
-            .collect()
-    }
-}
-
-/// [`faults::flip_i8_bits`] plus the per-learner derived-norm refresh; the
-/// pipeline layer's injection hook for int8 ensembles.
-pub(crate) fn flip_boost_i8_bits(
-    model: &mut QuantizedI8BoostHd,
-    p_b: f64,
-    rng: &mut Rng64,
-) -> BitflipReport {
-    let report = faults::flip_i8_bits(model, p_b, rng);
-    for l in &mut model.learners {
-        l.classes.refresh_inv_qnorms();
-    }
-    report
 }
 
 impl BoostHd {
@@ -808,7 +378,7 @@ impl BoostHd {
     /// per-row int8, votes scored via the widening integer dot. See the
     /// [module docs](self).
     pub fn quantize_i8(&self) -> QuantizedI8BoostHd {
-        QuantizedI8BoostHd::from_model(self)
+        self.ensemble.freeze()
     }
 
     /// [`BoostHd::quantize_i8`] preceded by `epochs` of per-learner
@@ -825,33 +395,7 @@ impl BoostHd {
         y: &[usize],
         epochs: usize,
     ) -> Result<QuantizedI8BoostHd> {
-        validate_refit_inputs(x, y, self.encoder().input_len(), self.num_classes())?;
-        let z = self.encoder().encode_batch(x);
-        let learners = (0..self.num_learners())
-            .map(|i| {
-                let (alpha, seg_start, seg_end, own_encoder) = self.learner_parts(i);
-                let zi = match own_encoder {
-                    None => z.slice_columns(seg_start, seg_end),
-                    Some(enc) => enc.encode_batch(x),
-                };
-                let mut shadow = self.learner_class_hypervectors(i).clone();
-                let classes = refit_i8_classes(&zi, y, &mut shadow, self.config().lr, epochs);
-                QuantizedI8WeakLearner {
-                    classes,
-                    alpha,
-                    seg_start,
-                    seg_end,
-                    own_encoder: own_encoder.cloned(),
-                }
-            })
-            .collect();
-        QuantizedI8BoostHd::from_parts(
-            self.encoder().clone(),
-            learners,
-            self.num_classes(),
-            self.config().voting,
-            self.dim_total(),
-        )
+        self.ensemble.refit(x, y, self.config().lr, epochs)
     }
 }
 
@@ -859,7 +403,9 @@ impl BoostHd {
 mod tests {
     use super::*;
     use crate::boost::BoostHdConfig;
+    use crate::classifier::Classifier;
     use crate::online::OnlineHdConfig;
+    use hdc::encoder::Encode;
 
     fn blobs(n: usize, seed: u64, sep: f32, noise: f32) -> (Matrix, Vec<usize>) {
         let mut rng = Rng64::seed_from(seed);
@@ -1123,10 +669,10 @@ mod tests {
         let mut quantized = BoostHd::fit(&config, &x, &y).unwrap().quantize_i8();
         let before = quantized.clone();
         let mut rng = Rng64::seed_from(0);
-        let report = flip_boost_i8_bits(&mut quantized, 0.01, &mut rng);
+        let report = quantized.inject_bitflips(0.01, &mut rng);
         assert!(report.flipped > 0);
         let changed = (0..quantized.num_learners())
-            .any(|i| quantized.learners()[i].classes.data() != before.learners()[i].classes.data());
+            .any(|i| quantized.learners[i].memory.data() != before.learners[i].memory.data());
         assert!(changed);
         // Scoring a corrupted model must not panic even if a flip produced
         // -128 somewhere in the stored bytes.
@@ -1146,7 +692,7 @@ mod tests {
         let clean = accuracy(&quantized, &x, &y);
         let mut corrupted = quantized.clone();
         let mut rng = Rng64::seed_from(3);
-        flip_boost_i8_bits(&mut corrupted, 1e-4, &mut rng);
+        corrupted.inject_bitflips(1e-4, &mut rng);
         let faulty = accuracy(&corrupted, &x, &y);
         assert!(
             faulty > clean - 0.05,

@@ -239,17 +239,14 @@ impl ModelSpec {
                 w.u64("seed", c.seed);
             }
             ModelSpec::BoostHd(c) => write_boost(w, c),
-            ModelSpec::QuantizedOnlineHd { base, refit_epochs } => {
+            ModelSpec::QuantizedOnlineHd { base, refit_epochs }
+            | ModelSpec::QuantizedI8OnlineHd { base, refit_epochs } => {
                 write_online(w, base);
                 w.int("refit_epochs", *refit_epochs as i64);
             }
             ModelSpec::QuantizedBoostHd { base, refit_epochs }
             | ModelSpec::QuantizedI8BoostHd { base, refit_epochs } => {
                 write_boost(w, base);
-                w.int("refit_epochs", *refit_epochs as i64);
-            }
-            ModelSpec::QuantizedI8OnlineHd { base, refit_epochs } => {
-                write_online(w, base);
                 w.int("refit_epochs", *refit_epochs as i64);
             }
             ModelSpec::Baseline(b) => {

@@ -67,6 +67,7 @@
 use boosthd::parallel::parallel_map_indices;
 use boosthd::toml::{TomlDoc, TomlTable, TomlWriter};
 use boosthd::{BoostHdError, Classifier, ModelSpec, Pipeline, Prediction, Result};
+use boosthd_serve::wire::escape_json;
 use boosthd_serve::InferenceEngine;
 use eval_harness::metrics::{accuracy, macro_f1};
 use eval_harness::repeat::RunStats;
@@ -601,9 +602,9 @@ impl CampaignReport {
         out.push_str("{\n");
         out.push_str("  \"format\": \"boosthd.campaign.report\",\n");
         out.push_str(&format!(
-            "  \"format_version\": {},\n  \"name\": {},\n  \"seed\": {},\n  \"trials\": {},\n",
+            "  \"format_version\": {},\n  \"name\": \"{}\",\n  \"seed\": {},\n  \"trials\": {},\n",
             self.format_version,
-            json_str(&self.name),
+            escape_json(&self.name),
             self.seed,
             self.trials
         ));
@@ -623,9 +624,9 @@ impl CampaignReport {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"kind\": {}, \"display\": {}}}",
-                json_str(kind),
-                json_str(display)
+                "{{\"kind\": \"{}\", \"display\": \"{}\"}}",
+                escape_json(kind),
+                escape_json(display)
             ));
         }
         out.push_str("],\n");
@@ -633,9 +634,9 @@ impl CampaignReport {
         for (i, scenario) in self.scenarios.iter().enumerate() {
             out.push_str("    {\n");
             out.push_str(&format!(
-                "      \"fault\": {},\n      \"axis\": {},\n      \"seed\": {},\n",
-                json_str(scenario.fault.tag()),
-                json_str(scenario.fault.severity_axis()),
+                "      \"fault\": \"{}\",\n      \"axis\": \"{}\",\n      \"seed\": {},\n",
+                escape_json(scenario.fault.tag()),
+                escape_json(scenario.fault.severity_axis()),
                 scenario.seed
             ));
             match scenario.fault {
@@ -654,12 +655,12 @@ impl CampaignReport {
             out.push_str("      \"cells\": [\n");
             for (j, cell) in scenario.cells.iter().enumerate() {
                 out.push_str(&format!(
-                    "        {{\"model\": {}, \"display\": {}, \"severity\": {}, \
+                    "        {{\"model\": \"{}\", \"display\": \"{}\", \"severity\": {}, \
                      \"mean_accuracy_pct\": {}, \"mean_macro_f1\": {}, \
                      \"abstention_rate\": {}, \"mean_confidence\": {}, \
                      \"confidence_hist\": [{}], \"accuracy_runs_pct\": {}}}",
-                    json_str(&cell.model),
-                    json_str(&cell.display),
+                    escape_json(&cell.model),
+                    escape_json(&cell.display),
                     json_f64(cell.severity),
                     json_f64(cell.mean_accuracy_pct),
                     json_f64(cell.mean_macro_f1),
@@ -689,9 +690,9 @@ impl CampaignReport {
         if let Some(s) = &self.streaming {
             out.push_str(",\n  \"streaming\": ");
             out.push_str(&format!(
-                "{{\"fault\": {}, \"severity\": {}, \"windows\": {}, \"batches\": {}, \
+                "{{\"fault\": \"{}\", \"severity\": {}, \"windows\": {}, \"batches\": {}, \
                  \"clean_accuracy_pct\": {}, \"faulted_accuracy_pct\": {}}}",
-                json_str(s.fault.tag()),
+                escape_json(s.fault.tag()),
                 json_f64(s.severity),
                 s.windows,
                 s.batches,
@@ -712,25 +713,8 @@ impl CampaignReport {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
+/// A JSON number for `v`, or `null` when it is not finite.
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         // Rust's shortest-round-trip Display never emits exponents for
         // f64, so the output is plain JSON-safe decimal.
@@ -1295,7 +1279,7 @@ mod tests {
         assert!(json.contains("\"format_version\": 1"));
         assert!(json.contains("\"bit_flip\""));
         assert!(!json.contains("NaN"));
-        assert!(json_str("a\"b\\c\n").contains("\\\""));
+        assert!(escape_json("a\"b\\c\n").contains("\\\""));
         assert_eq!(json_f64(f64::NAN), "null");
     }
 }

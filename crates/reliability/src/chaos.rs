@@ -61,10 +61,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::campaign::json_f64;
 use boosthd::parallel::ExecBackend;
 use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline};
 use boosthd_serve::server::{Backpressure, DegradeConfig, Server, ServerConfig, ServerTuning};
-use boosthd_serve::wire::{Client, ErrorCode, Reply};
+use boosthd_serve::wire::{escape_json, Client, ErrorCode, Reply};
 use boosthd_serve::EngineConfig;
 use linalg::{Matrix, Rng64};
 
@@ -169,10 +170,10 @@ impl ResilienceReport {
         out.push_str("  \"scenarios\": [\n");
         for (i, s) in self.scenarios.iter().enumerate() {
             out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": {},\n", json_str(s.name)));
+            out.push_str(&format!("      \"name\": \"{}\",\n", escape_json(s.name)));
             out.push_str(&format!(
-                "      \"description\": {},\n",
-                json_str(s.description)
+                "      \"description\": \"{}\",\n",
+                escape_json(s.description)
             ));
             out.push_str(&format!(
                 "      \"requests\": {},\n      \"ok\": {},\n      \"availability_pct\": {},\n",
@@ -218,32 +219,6 @@ impl ResilienceReport {
     /// The outcome of scenario `name`, when it ran.
     pub fn scenario(&self, name: &str) -> Option<&ScenarioOutcome> {
         self.scenarios.iter().find(|s| s.name == name)
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 
@@ -554,7 +529,10 @@ fn scenario_control(cfg: &ChaosConfig, pipeline: &Arc<Pipeline>) -> ScenarioOutc
 
     let detail = vec![
         ("ticks", ticks.to_string()),
-        ("tier", json_str(server.current_tier())),
+        (
+            "tier",
+            format!("\"{}\"", escape_json(server.current_tier())),
+        ),
     ];
     let outcome = driver.outcome(
         "control",
@@ -708,7 +686,10 @@ fn scenario_overload_degrade(cfg: &ChaosConfig, pipeline: &Arc<Pipeline>) -> Sce
     let detail = vec![
         ("queue_depth", "16".to_string()),
         ("burst", "20".to_string()),
-        ("tier_trail", json_str(&tier_trail.join(","))),
+        (
+            "tier_trail",
+            format!("\"{}\"", escape_json(&tier_trail.join(","))),
+        ),
         ("degraded_replies", degraded_replies.to_string()),
         ("quantized_mismatches", quantized_mismatches.to_string()),
         ("degrade_steps", stats.degrade_steps.to_string()),
