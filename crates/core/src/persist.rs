@@ -762,6 +762,11 @@ macro_rules! blob_codec {
     ($ty:ty $(where $g:ident: $bound:path)?) => {
         impl$(<$g: $bound>)? $ty {
             /// Serializes the model to the compact binary format.
+            ///
+            /// # Panics
+            ///
+            /// Panics for a family with no BHD1 kind of its own: an f32
+            /// `Ensemble`, which persists only inside a `BoostHd`.
             pub fn to_bytes(&self) -> Vec<u8> {
                 let mut w = $crate::persist::Writer::new();
                 self.encode_into(&mut w);
