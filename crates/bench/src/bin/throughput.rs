@@ -19,6 +19,7 @@ use std::time::Instant;
 
 use boosthd::parallel::default_threads;
 use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig};
+use boosthd_bench::training::hardware_threads;
 use boosthd_bench::{fit_spec, parse_common_args, prepare_split};
 use boosthd_serve::{EngineConfig, InferenceEngine};
 use linalg::Matrix;
@@ -35,15 +36,6 @@ struct Row {
     /// snapshot row can be judged against the hardware that produced it.
     hw_threads: usize,
     rows_per_sec: f64,
-}
-
-/// The machine's available parallelism (1 when undetectable). Thread
-/// counts above this are skipped: an oversubscribed row measures scheduler
-/// contention, not the serving path.
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Rows/sec of `run` over `rows` queries, best of `reps` timed passes after

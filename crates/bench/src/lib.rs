@@ -144,22 +144,7 @@ pub fn fit_spec(spec: &ModelSpec, x: &Matrix, y: &[usize]) -> Pipeline {
 ///
 /// As [`fit_spec`].
 pub fn train_model(kind: ModelKind, x: &Matrix, y: &[usize], seed: u64) -> Pipeline {
-    train_model_with_dim(kind, x, y, seed, DEFAULT_DIM_TOTAL)
-}
-
-/// [`train_model`] with an explicit HDC dimensionality (for `D` sweeps).
-///
-/// # Panics
-///
-/// As [`fit_spec`].
-pub fn train_model_with_dim(
-    kind: ModelKind,
-    x: &Matrix,
-    y: &[usize],
-    seed: u64,
-    dim_total: usize,
-) -> Pipeline {
-    fit_spec(&kind.spec(seed, dim_total), x, y)
+    fit_spec(&kind.spec(seed, DEFAULT_DIM_TOTAL), x, y)
 }
 
 /// Fraction of subjects held out for testing throughout the benchmarks.

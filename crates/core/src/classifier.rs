@@ -1,6 +1,6 @@
 //! The [`Classifier`] trait shared by every model in the reproduction.
 
-use crate::parallel::{chunk_bounds, parallel_map_indices_with, ExecBackend};
+use crate::parallel::{chunk_bounds, parallel_map_indices};
 use linalg::Matrix;
 
 /// Index of the largest value in `xs`; 0 for an empty slice. Ties resolve to
@@ -100,38 +100,20 @@ pub fn argmax_rows(scores: &Matrix) -> Vec<usize> {
 ///
 /// Every chunk flows through the same batched kernels as the whole batch,
 /// and those kernels are row-independent, so the result is identical to
-/// `model.predict_batch(x)` for any thread count and either execution
-/// backend.
+/// `model.predict_batch(x)` for any thread count.
 pub fn predict_batch_chunked<C>(model: &C, x: &Matrix, threads: usize) -> Vec<usize>
 where
     C: Classifier + Sync + ?Sized,
 {
-    predict_batch_chunked_with(model, x, threads, ExecBackend::Pooled)
-}
-
-/// [`predict_batch_chunked`] on an explicit [`ExecBackend`]:
-/// [`ExecBackend::Scoped`] reproduces the pre-pool spawn-per-call
-/// behavior, the baseline the serving benchmarks measure the pool against
-/// and the regression tests pin bit-identity against.
-pub fn predict_batch_chunked_with<C>(
-    model: &C,
-    x: &Matrix,
-    threads: usize,
-    backend: ExecBackend,
-) -> Vec<usize>
-where
-    C: Classifier + Sync + ?Sized,
-{
-    map_row_chunks(x, threads, backend, |chunk| model.predict_batch(chunk))
+    map_row_chunks(x, threads, |chunk| model.predict_batch(chunk))
 }
 
 /// Runs `f` on `threads` contiguous row chunks of `x`
-/// ([`crate::parallel::chunk_bounds`]) on `backend` and concatenates the
-/// results in row order; one chunk runs inline on the caller.
+/// ([`crate::parallel::chunk_bounds`]) on the worker pool and concatenates
+/// the results in row order; one chunk runs inline on the caller.
 pub(crate) fn map_row_chunks<T: Send>(
     x: &Matrix,
     threads: usize,
-    backend: ExecBackend,
     f: impl Fn(&Matrix) -> Vec<T> + Sync,
 ) -> Vec<T> {
     let rows = x.rows();
@@ -139,7 +121,7 @@ pub(crate) fn map_row_chunks<T: Send>(
     if workers <= 1 {
         return f(x);
     }
-    parallel_map_indices_with(backend, workers, workers, |w| {
+    parallel_map_indices(workers, workers, |w| {
         let (start, end) = chunk_bounds(rows, workers, w);
         f(&x.slice_rows(start, end))
     })

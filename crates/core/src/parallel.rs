@@ -5,50 +5,28 @@
 //! both across queries and across weak learners. This module provides the
 //! small deterministic fork/join primitive the classifiers use.
 //!
-//! Two execution backends share one chunking function
-//! ([`chunk_bounds`]), so they are bit-identical for every thread count:
-//!
-//! * [`parallel_map_indices`] — the default — runs chunks on the
-//!   process-wide persistent [`crate::pool::WorkerPool`], paying two mutex
-//!   hops per fan-out instead of `threads` thread spawns (the serving-path
-//!   fix: a long-lived server flushes thousands of micro-batches);
-//! * [`parallel_map_indices_scoped`] — the original `std::thread::scope`
-//!   path, kept as the spawn-per-call baseline for benchmarks and the
-//!   bit-identity regression tests.
+//! Batch fan-outs run on the process-wide persistent
+//! [`crate::pool::WorkerPool`] ([`parallel_map_indices`]), which pays two
+//! mutex hops per fan-out instead of `threads` thread spawns — the
+//! serving-path fix: a long-lived server flushes thousands of
+//! micro-batches. [`parallel_map_indices_scoped`] is the plain
+//! `std::thread::scope` fan-out the pool itself uses for nested calls;
+//! both split work with one chunking function ([`chunk_bounds`]), so they
+//! are bit-identical for every thread count.
 
-/// Which fan-out venue a parallel batch call runs on.
+/// The fan-out venue of a parallel batch call. It has one variant and
+/// selects nothing: every batch runs on the persistent worker pool. The
+/// type survives only so existing callers that name it keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// The persistent process-wide worker pool ([`crate::pool::global`]).
     #[default]
     Pooled,
-    /// Fresh scoped threads spawned per call — the pre-pool behavior,
-    /// retained as a measurable baseline.
-    Scoped,
-}
-
-impl ExecBackend {
-    /// Stable lowercase tag for reports and CLI flags.
-    pub fn tag(self) -> &'static str {
-        match self {
-            ExecBackend::Pooled => "pooled",
-            ExecBackend::Scoped => "scoped",
-        }
-    }
-
-    /// Parses a tag produced by [`ExecBackend::tag`].
-    pub fn from_tag(tag: &str) -> Option<ExecBackend> {
-        match tag {
-            "pooled" => Some(ExecBackend::Pooled),
-            "scoped" => Some(ExecBackend::Scoped),
-            _ => None,
-        }
-    }
 }
 
 /// The shared chunking rule: `0..count` split into `workers` contiguous
 /// chunks of `ceil(count / workers)` indices; chunk `w` is
-/// `start..end` (clamped to `count`). Both execution backends call this
+/// `start..end` (clamped to `count`). Both fan-outs call this
 /// exact function, which is what makes pooled and scoped results
 /// bit-identical — any drift in chunk boundaries would reorder
 /// floating-point reductions in kernels that accumulate per chunk.
@@ -78,27 +56,10 @@ where
     crate::pool::global().scoped_map(count, threads, f)
 }
 
-/// [`parallel_map_indices`] with an explicit [`ExecBackend`] — the seam
-/// benchmarks use to measure the pool against the spawn-per-call baseline.
-pub fn parallel_map_indices_with<T, F>(
-    backend: ExecBackend,
-    count: usize,
-    threads: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match backend {
-        ExecBackend::Pooled => parallel_map_indices(count, threads, f),
-        ExecBackend::Scoped => parallel_map_indices_scoped(count, threads, f),
-    }
-}
-
-/// The original scoped-thread fan-out: spawns `threads` scoped workers per
-/// call. Chunking and results are identical to [`parallel_map_indices`];
-/// only the execution venue (and its per-call spawn cost) differs.
+/// The scoped-thread fan-out: spawns `threads` scoped workers per call.
+/// The pool runs nested fan-outs on it, and tests use it as the reference.
+/// Chunking and results are identical to [`parallel_map_indices`]; only
+/// the execution venue (and its per-call spawn cost) differs.
 ///
 /// # Panics
 ///
@@ -251,8 +212,8 @@ mod tests {
         for count in [0usize, 1, 2, 7, 33, 100] {
             for threads in [1usize, 2, 3, 8, 16] {
                 let f = |i: usize| (i as f32).sin() * 1e3;
-                let pooled = parallel_map_indices_with(ExecBackend::Pooled, count, threads, f);
-                let scoped = parallel_map_indices_with(ExecBackend::Scoped, count, threads, f);
+                let pooled = parallel_map_indices(count, threads, f);
+                let scoped = parallel_map_indices_scoped(count, threads, f);
                 assert_eq!(pooled, scoped, "count={count} threads={threads}");
             }
         }
@@ -275,13 +236,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn exec_backend_tags_are_stable() {
-        assert_eq!(ExecBackend::Pooled.tag(), "pooled");
-        assert_eq!(ExecBackend::Scoped.tag(), "scoped");
-        assert_eq!(ExecBackend::default(), ExecBackend::Pooled);
     }
 
     #[test]

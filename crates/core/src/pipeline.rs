@@ -519,17 +519,19 @@ impl Pipeline {
     }
 
     /// [`Pipeline::predict_batch_with_confidence`] fanned out over
-    /// `threads` contiguous row chunks on the chosen execution backend —
-    /// the network serving flush primitive. Scoring is row-independent, so
-    /// the result is identical to the single-threaded form for any thread
-    /// count and either backend.
+    /// `threads` contiguous row chunks on the worker pool — the network
+    /// serving flush primitive. Scoring is row-independent, so the result
+    /// is identical to the single-threaded form for any thread count.
+    ///
+    /// The [`crate::parallel::ExecBackend`] argument selects nothing (the
+    /// type has a single variant); it is kept so existing callers compile.
     pub fn predict_batch_with_confidence_chunked(
         &self,
         x: &Matrix,
         threads: usize,
-        backend: crate::parallel::ExecBackend,
+        _backend: crate::parallel::ExecBackend,
     ) -> Vec<Prediction> {
-        map_row_chunks(x, threads, backend, |chunk| {
+        map_row_chunks(x, threads, |chunk| {
             self.predict_batch_with_confidence(chunk)
         })
     }

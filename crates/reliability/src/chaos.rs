@@ -227,8 +227,8 @@ impl ResilienceReport {
 // ---------------------------------------------------------------------------
 
 /// Per-tick arrival counts from a Lewis–Shedler-thinned inhomogeneous
-/// Poisson process with a sinusoidal rate (the same diurnal shape the
-/// loadgen binary paces real traffic with, discretized to driver ticks).
+/// Poisson process with a sinusoidal (diurnal) rate, discretized to
+/// driver ticks.
 fn poisson_arrivals_per_tick(
     rng: &mut Rng64,
     ticks: u64,

@@ -17,9 +17,7 @@
 //!    chunks predicted on the persistent worker [`pool`]
 //!    ([`boosthd::classifier::predict_batch_chunked`]), with the width
 //!    taken from [`boosthd::parallel::default_threads`] (`HDC_THREADS`
-//!    overridable) unless pinned in the config, and the backend
-//!    (pooled vs per-flush scoped spawns) selectable via
-//!    [`EngineConfig::exec`].
+//!    overridable) unless pinned in the config.
 //! 3. **Latency accounting** — every request's enqueue→response time is
 //!    recorded and summarized as `p50/p95/p99` tails
 //!    ([`eval_harness::timing::LatencySummary`]), alongside aggregate
@@ -75,7 +73,7 @@ pub mod pool {
 
 /// The model-fleet registry and its append-only store — a re-export of
 /// [`boosthd::fleet`] so serving-side callers (the network front-end,
-/// `hdrun fleet`, `fleetbench`) build and route fleets without
+/// `hdrun fleet`, the serving benchmark) build and route fleets without
 /// depending on the core crate's module layout.
 pub mod fleet {
     pub use boosthd::fleet::{Fleet, FleetConfig, FleetModel, ModelStore, StoreEntry};
@@ -83,7 +81,7 @@ pub mod fleet {
 
 use std::time::{Duration, Instant};
 
-use boosthd::classifier::predict_batch_chunked_with;
+use boosthd::classifier::predict_batch_chunked;
 use boosthd::parallel::{default_threads, ExecBackend};
 use boosthd::Classifier;
 use eval_harness::timing::LatencySummary;
@@ -107,11 +105,9 @@ pub struct EngineConfig {
     /// [`boosthd::parallel::default_threads`] at engine construction
     /// (respecting `HDC_THREADS` / `set_default_threads`).
     pub threads: Option<usize>,
-    /// Execution backend for the flush fan-out:
-    /// [`ExecBackend::Pooled`] (default) reuses the persistent
-    /// [`pool`] workers, [`ExecBackend::Scoped`] reproduces the
-    /// spawn-per-flush baseline the serving benchmarks compare against.
-    /// Predictions are bit-identical either way.
+    /// Selects nothing: [`ExecBackend`] has the single variant
+    /// [`ExecBackend::Pooled`], and every flush fans out on the persistent
+    /// [`pool`] workers. The field is kept so existing callers compile.
     pub exec: ExecBackend,
 }
 
@@ -211,7 +207,7 @@ impl<'m, C: Classifier + Sync + ?Sized> InferenceEngine<'m, C> {
     /// thread-parallel path — the engine's flush primitive, exposed for
     /// callers that already hold a feature matrix.
     pub fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        predict_batch_chunked_with(self.model, x, self.threads, self.config.exec)
+        predict_batch_chunked(self.model, x, self.threads)
     }
 
     /// Pulls feature rows off `source`, micro-batches them under the
@@ -260,12 +256,7 @@ impl<'m, C: Classifier + Sync + ?Sized> InferenceEngine<'m, C> {
             }
             let mut x = Matrix::from_rows(pending).expect("pending rows share one feature width");
             hook(batches, &mut x);
-            predictions.extend(predict_batch_chunked_with(
-                self.model,
-                &x,
-                self.threads,
-                self.config.exec,
-            ));
+            predictions.extend(predict_batch_chunked(self.model, &x, self.threads));
             let done = Instant::now();
             latencies.extend(
                 arrivals

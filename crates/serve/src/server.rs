@@ -245,7 +245,7 @@ impl Default for ServerTuning {
 /// server tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerConfig {
-    /// Micro-batching (`max_batch`, `max_wait`, `threads`, `exec`) — the
+    /// Micro-batching (`max_batch`, `max_wait`, `threads`) — the
     /// same policy the in-process [`crate::InferenceEngine`] applies.
     pub engine: EngineConfig,
     /// Queue bound, backpressure mode, frame cap, deadlines, degrade
@@ -253,106 +253,89 @@ pub struct ServerConfig {
     pub tuning: ServerTuning,
 }
 
-/// Monotonic counters exported by `{"cmd":"stats"}` and
-/// [`Server::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Predict requests admitted to the queue.
-    pub admitted: u64,
-    /// Predict requests answered with a prediction.
-    pub answered: u64,
-    /// Predict requests shed by admission control (`shed` taxonomy code).
-    pub shed: u64,
-    /// Frames rejected as malformed / bad requests / oversized (aggregate
-    /// of `bad_frame` + `oversized` + `wrong_width`).
-    pub protocol_errors: u64,
-    /// Micro-batches flushed.
-    pub batches: u64,
-    /// `bad_frame` taxonomy replies (malformed JSON, unrecognized shape,
-    /// mid-frame disconnects and slow-loris stalls).
-    pub bad_frame: u64,
-    /// `oversized` taxonomy replies (frame cap exceeded).
-    pub oversized: u64,
-    /// `wrong_width` taxonomy replies (feature-count mismatch).
-    pub wrong_width: u64,
-    /// `deadline_exceeded` taxonomy replies (queue age beat the flush).
-    pub deadline_exceeded: u64,
-    /// `internal` taxonomy replies (server-side faults, force-aborts).
-    pub internal: u64,
-    /// `unknown_model` taxonomy replies (fleet routing to a model that
-    /// is not in the registry's store, or no fleet is attached).
-    pub unknown_model: u64,
-    /// Degrade-ladder steps down (toward cheaper tiers).
-    pub degrade_steps: u64,
-    /// Degrade-ladder steps up (recovery toward full fidelity).
-    pub recover_steps: u64,
-    /// Dead pool workers the watchdog replaced proactively.
-    pub watchdog_repairs: u64,
-    /// Flushes the watchdog observed stalling past twice its period.
-    pub watchdog_stalls: u64,
-    /// Atomic model reloads after a checksum mismatch (SEU detection).
-    pub model_reloads: u64,
-    /// Canary windows scored by the `health` command.
-    pub canary_checks: u64,
-    /// Canary windows whose classes diverged from the pinned expectation.
-    pub canary_failures: u64,
-    /// Drains that hit [`ServerTuning::drain_deadline_ms`] and
-    /// force-aborted wedged work.
-    pub aborted_drains: u64,
+/// Declares [`ServerStats`], its atomic twin and the snapshot between
+/// them from one counter list. The `{"cmd":"stats"}` frame is built from
+/// [`ServerStats::counters`], so no counter can be missing from it.
+macro_rules! server_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Monotonic counters exported by `{"cmd":"stats"}` and
+        /// [`Server::stats`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServerStats {
+            /// Every counter as `(name, value)`, in declaration order —
+            /// the keys of the `{"cmd":"stats"}` frame.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+
+        #[derive(Default)]
+        struct AtomicStats {
+            $($name: AtomicU64,)*
+        }
+
+        impl AtomicStats {
+            fn snapshot(&self) -> ServerStats {
+                ServerStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
 }
 
-#[derive(Default)]
-struct AtomicStats {
-    connections: AtomicU64,
-    admitted: AtomicU64,
-    answered: AtomicU64,
-    shed: AtomicU64,
-    protocol_errors: AtomicU64,
-    batches: AtomicU64,
-    bad_frame: AtomicU64,
-    oversized: AtomicU64,
-    wrong_width: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    internal: AtomicU64,
-    unknown_model: AtomicU64,
-    degrade_steps: AtomicU64,
-    recover_steps: AtomicU64,
-    watchdog_repairs: AtomicU64,
-    watchdog_stalls: AtomicU64,
-    model_reloads: AtomicU64,
-    canary_checks: AtomicU64,
-    canary_failures: AtomicU64,
-    aborted_drains: AtomicU64,
+server_counters! {
+    /// Connections accepted.
+    connections,
+    /// Predict requests admitted to the queue.
+    admitted,
+    /// Predict requests answered with a prediction.
+    answered,
+    /// Predict requests shed by admission control (`shed` taxonomy code).
+    shed,
+    /// Frames rejected as malformed / bad requests / oversized (aggregate
+    /// of `bad_frame` + `oversized` + `wrong_width`).
+    protocol_errors,
+    /// Micro-batches flushed.
+    batches,
+    /// `bad_frame` taxonomy replies (malformed JSON, unrecognized shape,
+    /// mid-frame disconnects and slow-loris stalls).
+    bad_frame,
+    /// `oversized` taxonomy replies (frame cap exceeded).
+    oversized,
+    /// `wrong_width` taxonomy replies (feature-count mismatch).
+    wrong_width,
+    /// `deadline_exceeded` taxonomy replies (queue age beat the flush).
+    deadline_exceeded,
+    /// `internal` taxonomy replies (server-side faults, force-aborts).
+    internal,
+    /// `unknown_model` taxonomy replies (fleet routing to a model that
+    /// is not in the registry's store, or no fleet is attached).
+    unknown_model,
+    /// Degrade-ladder steps down (toward cheaper tiers).
+    degrade_steps,
+    /// Degrade-ladder steps up (recovery toward full fidelity).
+    recover_steps,
+    /// Dead pool workers the watchdog replaced proactively.
+    watchdog_repairs,
+    /// Flushes the watchdog observed stalling past twice its period.
+    watchdog_stalls,
+    /// Atomic model reloads after a checksum mismatch (SEU detection).
+    model_reloads,
+    /// Canary windows scored by the `health` command.
+    canary_checks,
+    /// Canary windows whose classes diverged from the pinned expectation.
+    canary_failures,
+    /// Drains that hit [`ServerTuning::drain_deadline_ms`] and
+    /// force-aborted wedged work.
+    aborted_drains,
 }
 
 impl AtomicStats {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            answered: self.answered.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            bad_frame: self.bad_frame.load(Ordering::Relaxed),
-            oversized: self.oversized.load(Ordering::Relaxed),
-            wrong_width: self.wrong_width.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            internal: self.internal.load(Ordering::Relaxed),
-            unknown_model: self.unknown_model.load(Ordering::Relaxed),
-            degrade_steps: self.degrade_steps.load(Ordering::Relaxed),
-            recover_steps: self.recover_steps.load(Ordering::Relaxed),
-            watchdog_repairs: self.watchdog_repairs.load(Ordering::Relaxed),
-            watchdog_stalls: self.watchdog_stalls.load(Ordering::Relaxed),
-            model_reloads: self.model_reloads.load(Ordering::Relaxed),
-            canary_checks: self.canary_checks.load(Ordering::Relaxed),
-            canary_failures: self.canary_failures.load(Ordering::Relaxed),
-            aborted_drains: self.aborted_drains.load(Ordering::Relaxed),
-        }
-    }
-
     /// Bumps the per-code taxonomy counter (and the `protocol_errors`
     /// aggregate for the frame-level codes).
     fn count_error(&self, code: ErrorCode) {
@@ -1016,9 +999,6 @@ impl Server {
             } else {
                 let _ = self.batcher_thread.take();
             }
-            for stream in lock(&self.inner.conns).iter() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
         }
         // 3. Handlers: the batcher has resolved every admitted request,
         // but handlers may still be writing those replies out. Shut down
@@ -1205,33 +1185,19 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) {
     }
 }
 
-/// The `{"cmd":"stats"}` reply: counters, taxonomy, ladder gauge, queue
-/// gauge.
+/// The `{"cmd":"stats"}` reply: every [`ServerStats`] counter, then the
+/// ladder and queue gauges.
 fn stats_frame(inner: &Inner) -> String {
-    let s = inner.stats.snapshot();
-    format!(
-        "{{\"ok\":\"stats\",\"connections\":{},\"admitted\":{},\"answered\":{},\"shed\":{},\"protocol_errors\":{},\"batches\":{},\"bad_frame\":{},\"oversized\":{},\"wrong_width\":{},\"deadline_exceeded\":{},\"internal\":{},\"unknown_model\":{},\"degrade_steps\":{},\"recover_steps\":{},\"watchdog_repairs\":{},\"watchdog_stalls\":{},\"model_reloads\":{},\"aborted_drains\":{},\"tier\":\"{}\",\"queue_depth\":{}}}",
-        s.connections,
-        s.admitted,
-        s.answered,
-        s.shed,
-        s.protocol_errors,
-        s.batches,
-        s.bad_frame,
-        s.oversized,
-        s.wrong_width,
-        s.deadline_exceeded,
-        s.internal,
-        s.unknown_model,
-        s.degrade_steps,
-        s.recover_steps,
-        s.watchdog_repairs,
-        s.watchdog_stalls,
-        s.model_reloads,
-        s.aborted_drains,
+    let mut frame = String::from("{\"ok\":\"stats\"");
+    for (name, value) in inner.stats.snapshot().counters() {
+        frame.push_str(&format!(",\"{name}\":{value}"));
+    }
+    frame.push_str(&format!(
+        ",\"tier\":\"{}\",\"queue_depth\":{}}}",
         inner.active_tier_tag(),
-        lock(&inner.queue).len(),
-    )
+        lock(&inner.queue).len()
+    ));
+    frame
 }
 
 /// Admits one predict request, waits for its reply, writes it. Returns
@@ -1485,8 +1451,10 @@ fn batcher_loop(inner: &Arc<Inner>) {
                     continue;
                 }
                 // Non-empty, non-full: flush once the oldest admitted
-                // request has waited max_wait.
-                break Some(Instant::now() + max_wait);
+                // request has waited max_wait, counted from its admission
+                // (not from now: requests that queued up during a flush
+                // or a pause have already spent part of their wait).
+                break queue.front().map(|oldest| oldest.admitted + max_wait);
             };
             if let Some(deadline) = deadline {
                 loop {
@@ -1655,31 +1623,4 @@ fn watchdog_loop(inner: &Arc<Inner>) {
             inner.verify_checksums();
         }
     }
-}
-
-/// Formats a one-line JSON stats summary (shared by `hdrun serve --listen`
-/// shutdown reporting and tests).
-pub fn stats_json(stats: &ServerStats, note: &str) -> String {
-    format!(
-        "{{\"connections\":{},\"admitted\":{},\"answered\":{},\"shed\":{},\"protocol_errors\":{},\"batches\":{},\"bad_frame\":{},\"oversized\":{},\"wrong_width\":{},\"deadline_exceeded\":{},\"internal\":{},\"unknown_model\":{},\"degrade_steps\":{},\"recover_steps\":{},\"watchdog_repairs\":{},\"watchdog_stalls\":{},\"model_reloads\":{},\"aborted_drains\":{},\"note\":\"{}\"}}",
-        stats.connections,
-        stats.admitted,
-        stats.answered,
-        stats.shed,
-        stats.protocol_errors,
-        stats.batches,
-        stats.bad_frame,
-        stats.oversized,
-        stats.wrong_width,
-        stats.deadline_exceeded,
-        stats.internal,
-        stats.unknown_model,
-        stats.degrade_steps,
-        stats.recover_steps,
-        stats.watchdog_repairs,
-        stats.watchdog_stalls,
-        stats.model_reloads,
-        stats.aborted_drains,
-        escape_json(note)
-    )
 }

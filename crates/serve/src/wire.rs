@@ -49,10 +49,9 @@
 //! server.
 //!
 //! The module also houses the self-contained JSON reader/writer the
-//! protocol runs on (the build is offline; no serde_json), a small
-//! blocking [`Client`] used by `loadgen`, the CI smoke, and the
-//! integration tests, and the jittered-backoff [`RetryingClient`] wrapper
-//! (predict requests are idempotent, so bounded re-sends are safe).
+//! protocol runs on (the build is offline; no serde_json) and a small
+//! blocking [`Client`] used by the integration tests and the serving
+//! benchmark.
 
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -639,7 +638,8 @@ pub fn error_response(id: Option<u64>, code: ErrorCode, message: &str) -> String
 }
 
 /// Serializes a shed/backoff error response: the taxonomy `code` plus a
-/// structured `retry_after_ms` hint the [`RetryingClient`] honors.
+/// structured `retry_after_ms` hint telling the client when to come back
+/// (predict requests are idempotent, so a re-send after it is safe).
 pub fn error_response_retry(
     id: Option<u64>,
     code: ErrorCode,
@@ -843,7 +843,7 @@ impl Reply {
 }
 
 /// A minimal blocking protocol client over one TCP connection — the
-/// building block of `loadgen`, the CI smoke, and the integration tests.
+/// building block of the integration tests and the serving benchmark.
 #[derive(Debug)]
 pub struct Client {
     reader: std::io::BufReader<TcpStream>,
@@ -1062,147 +1062,6 @@ fn predict_frame_model(
     }
     frame.push_str("]}");
     frame
-}
-
-// ---------------------------------------------------------------------------
-// Retrying client
-// ---------------------------------------------------------------------------
-
-/// Retry/backoff knobs for [`RetryingClient`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per request (first try included). `1` disables
-    /// retries.
-    pub max_attempts: u32,
-    /// Backoff before retry `n` starts from `base_backoff_ms << n`.
-    pub base_backoff_ms: u64,
-    /// Exponential backoff is capped here.
-    pub max_backoff_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            base_backoff_ms: 10,
-            max_backoff_ms: 500,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered backoff before attempt `attempt + 1`: the exponential
-    /// base (capped at `max_backoff_ms`) plus up to 50% seeded jitter, so
-    /// a shed burst of retrying clients decorrelates instead of
-    /// re-stampeding in lockstep.
-    fn backoff_ms(&self, attempt: u32, rng: &mut linalg::Rng64) -> u64 {
-        let base = self
-            .base_backoff_ms
-            .checked_shl(attempt.min(16))
-            .unwrap_or(u64::MAX)
-            .min(self.max_backoff_ms)
-            .max(1);
-        // `base` is capped at `max_backoff_ms`, so the usize round trip
-        // through `below` is lossless and the sum cannot overflow.
-        base + rng.below((base / 2 + 1) as usize) as u64
-    }
-}
-
-/// A [`Client`] wrapper with bounded, jittered-exponential-backoff retries
-/// — safe because predict requests are idempotent (same features, same
-/// answer; the server holds no per-request state).
-///
-/// Retried outcomes: connect failures and socket errors (the connection is
-/// re-established) and `shed` error replies, whose structured
-/// `retry_after_ms` overrides the exponential backoff when present. Any
-/// other reply — predictions, non-shed errors — returns immediately:
-/// retrying a `wrong_width` or `bad_frame` reply would loop forever on a
-/// request that can never succeed.
-#[derive(Debug)]
-pub struct RetryingClient {
-    addr: String,
-    policy: RetryPolicy,
-    rng: linalg::Rng64,
-    client: Option<Client>,
-    retries: u64,
-}
-
-impl RetryingClient {
-    /// Creates a lazy-connecting retrying client. `seed` drives the
-    /// backoff jitter (deterministic per client).
-    pub fn new(addr: &str, policy: RetryPolicy, seed: u64) -> RetryingClient {
-        RetryingClient {
-            addr: addr.to_string(),
-            policy,
-            rng: linalg::Rng64::seed_from(seed),
-            client: None,
-            retries: 0,
-        }
-    }
-
-    /// Retries performed so far (attempts beyond each request's first).
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Round-trips one prediction with retries per the policy. Returns the
-    /// first conclusive reply, or the last failure once attempts are
-    /// exhausted.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's socket/parse error, when every attempt failed.
-    pub fn predict(&mut self, id: u64, features: &[f32]) -> Result<Reply, WireError> {
-        let mut last: Result<Reply, WireError> = Err(WireError::Io("no attempt was made".into()));
-        for attempt in 0..self.policy.max_attempts.max(1) {
-            if attempt > 0 {
-                self.retries += 1;
-            }
-            let client = match self.client.as_mut() {
-                Some(c) => c,
-                None => match Client::connect(&self.addr) {
-                    Ok(c) => self.client.insert(c),
-                    Err(e) => {
-                        last = Err(WireError::Io(e.to_string()));
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            self.policy.backoff_ms(attempt, &mut self.rng),
-                        ));
-                        continue;
-                    }
-                },
-            };
-            match client.predict(id, features) {
-                Ok(Reply::Error {
-                    id: err_id,
-                    message,
-                    code,
-                    retry_after_ms,
-                }) if code.as_deref() == Some("shed") => {
-                    // Shed: honor the server's structured backoff hint.
-                    let wait = retry_after_ms
-                        .unwrap_or_else(|| self.policy.backoff_ms(attempt, &mut self.rng));
-                    last = Ok(Reply::Error {
-                        id: err_id,
-                        message,
-                        code,
-                        retry_after_ms,
-                    });
-                    std::thread::sleep(std::time::Duration::from_millis(wait));
-                }
-                Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    // Socket-level failure: the connection state is
-                    // unknown; reconnect on the next attempt.
-                    self.client = None;
-                    last = Err(e);
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        self.policy.backoff_ms(attempt, &mut self.rng),
-                    ));
-                }
-            }
-        }
-        last
-    }
 }
 
 #[cfg(test)]

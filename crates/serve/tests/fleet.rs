@@ -142,7 +142,7 @@ fn hot_swap_under_live_load_fails_nothing_and_is_monotonic() {
         let stop = Arc::clone(&stop);
         let swapped = Arc::clone(&swapped);
         workers.push(std::thread::spawn(move || {
-            let mut client = Client::connect(&addr).expect("connect loadgen worker");
+            let mut client = Client::connect(&addr).expect("connect load worker");
             let mut last_version = 0u64;
             let mut sent = 0u64;
             let mut after_swap_new_version = false;
@@ -184,7 +184,7 @@ fn hot_swap_under_live_load_fails_nothing_and_is_monotonic() {
 
     let mut total = 0;
     for w in workers {
-        let (sent, last_version) = w.join().expect("loadgen worker panicked");
+        let (sent, last_version) = w.join().expect("load worker panicked");
         total += sent;
         assert_eq!(last_version, 2, "worker did not end on the new version");
     }

@@ -7,7 +7,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use boosthd::parallel::ExecBackend;
 use boosthd::{ModelSpec, OnlineHdConfig, Pipeline};
@@ -305,6 +305,70 @@ fn ping_and_stats_commands_answer() {
         }
         other => panic!("expected a raw stats object, got {other:?}"),
     }
+    server.shutdown_and_join();
+}
+
+#[test]
+fn stats_frame_carries_every_counter() {
+    let server = default_server();
+    let mut client = connect(&server);
+    client.predict(1, &[0.5; FEATURES]).unwrap();
+    // `health` scores the canary window, so the canary counters are live.
+    assert!(matches!(client.health().unwrap(), Reply::Raw(_)));
+    client.send_raw("{\"cmd\":\"stats\"}").unwrap();
+    let frame = match client.recv().unwrap().unwrap() {
+        Reply::Raw(v) => v,
+        other => panic!("expected a raw stats object, got {other:?}"),
+    };
+    let counters = server.stats().counters();
+    assert_eq!(counters.len(), 20);
+    for (name, value) in counters {
+        assert_eq!(
+            frame.get(name).and_then(|j| j.as_num()),
+            Some(value as f64),
+            "stats frame counter `{name}`"
+        );
+    }
+    assert!(server.stats().canary_checks > 0);
+    server.shutdown_and_join();
+}
+
+#[test]
+fn max_wait_counts_from_the_oldest_admission() {
+    // A request that queued while the batcher was held has already spent
+    // its max_wait: once the batcher resumes it must flush at once, not
+    // wait a fresh max_wait measured from the resume.
+    let server = start_server(ServerConfig {
+        engine: EngineConfig {
+            max_batch: 64,
+            max_wait: Duration::from_millis(300),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    server.pause_batcher();
+    let mut client = connect(&server);
+    client.send_predict(7, &[0.5; FEATURES]).unwrap();
+    let t0 = Instant::now();
+    while server.stats().admitted < 1 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "request never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(400));
+    let resumed = Instant::now();
+    server.resume_batcher();
+    match client.recv().unwrap() {
+        Some(Reply::Predict { id, .. }) => assert_eq!(id, 7),
+        other => panic!("expected a prediction, got {other:?}"),
+    }
+    let waited = resumed.elapsed();
+    assert!(
+        waited < Duration::from_millis(150),
+        "reply took {waited:?} after the resume"
+    );
     server.shutdown_and_join();
 }
 

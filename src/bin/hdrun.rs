@@ -10,10 +10,9 @@
 //!   `window_samples`, `segments`, `seed`, `test_fraction`);
 //! * `[serve]` — micro-batching and reliability gating for the serving
 //!   engine (`max_batch`, `max_wait_ms`, `threads`, `abstain_threshold`,
-//!   `windows`, `hop_samples`), plus network-mode knobs (`exec` =
-//!   `"pooled"`/`"scoped"`, `queue_depth`, `backpressure` =
-//!   `"shed"`/`"block"`, `max_frame_bytes`) and resilience knobs
-//!   (`deadline_ms`, `read_timeout_ms`, `retry_after_ms`,
+//!   `windows`, `hop_samples`), plus network-mode knobs (`queue_depth`,
+//!   `backpressure` = `"shed"`/`"block"`, `max_frame_bytes`) and
+//!   resilience knobs (`deadline_ms`, `read_timeout_ms`, `retry_after_ms`,
 //!   `drain_deadline_ms`, `degrade` + `degrade_high_depth` /
 //!   `degrade_low_depth` / `degrade_after` / `recover_after`,
 //!   `watchdog_interval_ms`, `model_check_interval_ms`, `canary_rows` —
@@ -64,7 +63,6 @@ use std::error::Error;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use boosthd::parallel::ExecBackend;
 use boosthd::toml::TomlDoc;
 use boosthd::{BoostHdError, ModelSpec, Pipeline};
 use boosthd_repro::serve::fleet::{Fleet, FleetConfig, ModelStore};
@@ -277,7 +275,6 @@ struct ServeSpec {
     abstain_threshold: f32,
     windows: usize,
     hop_samples: usize,
-    exec: ExecBackend,
     tuning: ServerTuning,
 }
 
@@ -290,7 +287,6 @@ fn serve_spec(doc: &TomlDoc, default_hop: usize) -> Result<ServeSpec, BoostHdErr
         abstain_threshold: 0.0,
         windows: 200,
         hop_samples: default_hop,
-        exec: ExecBackend::default(),
         tuning: ServerTuning::default(),
     };
     let Some(t) = doc.table("serve") else {
@@ -305,7 +301,6 @@ fn serve_spec(doc: &TomlDoc, default_hop: usize) -> Result<ServeSpec, BoostHdErr
                 | "abstain_threshold"
                 | "windows"
                 | "hop_samples"
-                | "exec"
                 | "queue_depth"
                 | "backpressure"
                 | "max_frame_bytes"
@@ -342,11 +337,6 @@ fn serve_spec(doc: &TomlDoc, default_hop: usize) -> Result<ServeSpec, BoostHdErr
     }
     if t.get("hop_samples").is_some() {
         spec.hop_samples = t.get_usize("hop_samples")?;
-    }
-    if t.get("exec").is_some() {
-        let tag = t.get_str("exec")?;
-        spec.exec = ExecBackend::from_tag(tag)
-            .ok_or_else(|| invalid(format!("[serve] exec must be pooled|scoped, got `{tag}`")))?;
     }
     if t.get("queue_depth").is_some() {
         spec.tuning.queue_depth = t.get_usize("queue_depth")?.max(1);
@@ -535,7 +525,7 @@ fn cmd_serve(
             max_batch: sv.max_batch,
             max_wait: sv.max_wait,
             threads: sv.threads,
-            exec: sv.exec,
+            ..EngineConfig::default()
         },
     );
     // Normalize each window once; the engine and the confidence report
@@ -582,7 +572,7 @@ fn serve_network(
             max_batch: sv.max_batch,
             max_wait: sv.max_wait,
             threads: sv.threads,
-            exec: sv.exec,
+            ..EngineConfig::default()
         },
         tuning: sv.tuning,
     };
@@ -598,10 +588,9 @@ fn serve_network(
         Some(prep),
     )?;
     println!(
-        "listening on {} ({} features/request, exec {}, queue_depth {}, backpressure {})",
+        "listening on {} ({} features/request, queue_depth {}, backpressure {})",
         server.local_addr(),
         num_features,
-        config.engine.exec.tag(),
         config.tuning.queue_depth,
         config.tuning.backpressure.tag(),
     );
@@ -741,7 +730,7 @@ fn cmd_fleet_serve(
             max_batch: sv.max_batch,
             max_wait: sv.max_wait,
             threads: sv.threads,
-            exec: sv.exec,
+            ..EngineConfig::default()
         },
         tuning: sv.tuning,
     };

@@ -8,9 +8,12 @@
 //! on exit codes and message fragments, so regressions in argument
 //! parsing, spec validation, or error wording fail `cargo test` directly.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use boosthd_serve::wire::{Client, Reply};
 
 /// A unique per-test scratch directory under the system temp dir,
 /// removed on drop (no external tempdir crate in the dependency policy).
@@ -179,6 +182,82 @@ fn full_lifecycle_train_save_load_eval_serve_campaign() {
     assert!(json.contains("\"streaming\""), "stream table ran");
 }
 
+/// A spawned child process, killed if a failing test leaves it running.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_listen_answers_predicts_and_drains() {
+    let dir = TempDir::new("listen");
+    let spec = tiny_model_spec(&dir);
+    let model = dir.file("model.bhde");
+    let out = hdrun(&[
+        "train",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--out",
+        model.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "train: {}", stderr_of(&out));
+
+    let mut server = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_hdrun"))
+            .args([
+                "serve",
+                "--spec",
+                spec.to_str().unwrap(),
+                "--model",
+                model.to_str().unwrap(),
+                "--listen",
+                "127.0.0.1:0",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn hdrun serve"),
+    );
+    let mut stdout = BufReader::new(server.0.stdout.take().unwrap());
+    // `listening on <addr> (<F> features/request, ...)`
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let (addr, rest) = line
+        .strip_prefix("listening on ")
+        .and_then(|rest| rest.split_once(" ("))
+        .unwrap_or_else(|| panic!("expected the listening line, got `{line}`"));
+    let features: usize = rest.split(' ').next().unwrap().parse().unwrap();
+
+    let mut client = Client::connect(addr).unwrap();
+    for id in 0..20u64 {
+        let row: Vec<f32> = (0..features)
+            .map(|j| ((id as usize + j) % 5) as f32 - 2.0)
+            .collect();
+        match client.predict(id, &row).unwrap() {
+            Reply::Predict { id: got, .. } => assert_eq!(got, id),
+            other => panic!("predict {id}: {other:?}"),
+        }
+    }
+    match client.predict(20, &vec![0.0; features + 1]).unwrap() {
+        Reply::Error { code, .. } => assert_eq!(code.as_deref(), Some("wrong_width")),
+        other => panic!("expected a wrong_width error, got {other:?}"),
+    }
+    assert_eq!(
+        client.shutdown_server().unwrap(),
+        Reply::Ok("shutdown".into())
+    );
+
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert_eq!(server.0.wait().unwrap().code(), Some(0), "{rest}");
+    assert!(rest.contains("serve: drained"), "{rest}");
+    assert!(rest.contains(" 20 answered,"), "{rest}");
+}
+
 #[test]
 fn campaign_reports_are_identical_across_thread_flags() {
     let dir = TempDir::new("threads");
@@ -298,6 +377,22 @@ fn garbage_specs_fail_descriptively() {
     .unwrap();
     let out = hdrun(&["campaign", bad_fault.to_str().unwrap()]);
     assert_fails_mentioning(&out, &["cosmic_rays", "known:"]);
+
+    // The removed `exec` backend knob is an unknown [serve] key.
+    let exec_key = dir.file("exec_key.toml");
+    std::fs::write(
+        &exec_key,
+        "[model]\nkind = \"centroid_hd\"\ndim = 64\n\n[serve]\nexec = \"pooled\"\n",
+    )
+    .unwrap();
+    let out = hdrun(&[
+        "serve",
+        "--spec",
+        exec_key.to_str().unwrap(),
+        "--model",
+        dir.file("unused.bhde").to_str().unwrap(),
+    ]);
+    assert_fails_mentioning(&out, &["unknown key `exec`"]);
 }
 
 #[test]

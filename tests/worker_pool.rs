@@ -2,13 +2,15 @@
 //! fan-out must be bit-identical to the scoped-spawn path it replaced, for
 //! any thread count and any model family.
 //!
-//! Both backends split work with the one shared
+//! The pool and the scoped fan-out split work with the one shared
 //! [`boosthd::parallel::chunk_bounds`] function, so chunk composition —
 //! and therefore floating-point reduction order — never depends on which
-//! execution backend runs the chunks. These tests pin that contract.
+//! of them runs the chunks. These tests pin that contract.
 
-use boosthd::classifier::predict_batch_chunked_with;
-use boosthd::parallel::{chunk_bounds, parallel_map_indices_with, ExecBackend};
+use boosthd::classifier::predict_batch_chunked;
+use boosthd::parallel::{
+    chunk_bounds, parallel_map_indices, parallel_map_indices_scoped, ExecBackend,
+};
 use boosthd::{
     BoostHd, BoostHdConfig, CentroidHd, CentroidHdConfig, Classifier, ModelSpec, OnlineHd,
     OnlineHdConfig, Pipeline,
@@ -35,14 +37,11 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 fn assert_backend_invariant<C: Classifier + Sync>(model: &C, x: &Matrix, family: &str) {
     let reference = model.predict_batch(x);
     for threads in THREAD_COUNTS {
-        for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
-            assert_eq!(
-                predict_batch_chunked_with(model, x, threads, backend),
-                reference,
-                "{family}: threads={threads} backend={}",
-                backend.tag()
-            );
-        }
+        assert_eq!(
+            predict_batch_chunked(model, x, threads),
+            reference,
+            "{family}: threads={threads}"
+        );
     }
 }
 
@@ -104,40 +103,27 @@ fn pipeline_confidence_path_is_backend_invariant() {
     .with_abstain_threshold(0.4);
     let reference = pipeline.predict_batch_with_confidence(&x);
     for threads in THREAD_COUNTS {
-        for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
-            let got = pipeline.predict_batch_with_confidence_chunked(&x, threads, backend);
-            assert_eq!(
-                got.len(),
-                reference.len(),
-                "threads={threads} backend={}",
-                backend.tag()
-            );
-            for (a, b) in got.iter().zip(&reference) {
-                assert_eq!(a.class, b.class);
-                assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
-                assert_eq!(a.margin.to_bits(), b.margin.to_bits());
-                assert_eq!(a.abstained, b.abstained);
-            }
+        let got = pipeline.predict_batch_with_confidence_chunked(&x, threads, ExecBackend::Pooled);
+        assert_eq!(got.len(), reference.len(), "threads={threads}");
+        for (a, b) in got.iter().zip(&reference) {
+            assert_eq!(a.class, b.class);
+            assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+            assert_eq!(a.margin.to_bits(), b.margin.to_bits());
+            assert_eq!(a.abstained, b.abstained);
         }
     }
 }
 
 #[test]
 fn chunk_bounds_are_shared_by_construction() {
-    // Both backends must consume identical chunks: reconstruct each
-    // backend's chunk list through the public fan-out and compare.
+    // The pool and the scoped fan-out must consume identical chunks:
+    // reconstruct each one's chunk list through the public fan-out and
+    // compare.
     for (count, workers) in [(1usize, 8usize), (7, 2), (64, 8), (67, 8), (100, 3)] {
-        let collect = |backend: ExecBackend| -> Vec<(usize, usize)> {
-            parallel_map_indices_with(backend, workers, workers, |w| {
-                vec![chunk_bounds(count, workers, w)]
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+        let chunk = |w: usize| chunk_bounds(count, workers, w);
         assert_eq!(
-            collect(ExecBackend::Pooled),
-            collect(ExecBackend::Scoped),
+            parallel_map_indices(workers, workers, chunk),
+            parallel_map_indices_scoped(workers, workers, chunk),
             "count={count} workers={workers}"
         );
     }
