@@ -26,7 +26,9 @@
 //! `default_specs` deployment setting).
 //!
 //! Usage: `quantbench [--quick]` — `--quick` shrinks everything for a CI
-//! smoke run and skips the JSON snapshot.
+//! smoke run and skips the JSON snapshot. A full run, after writing the
+//! snapshot, asserts that 1-bit scoring is at least 5× the f32 sweep at
+//! `D = 4000` (`MIN_ONEBIT_SCORE_SPEEDUP`).
 
 use std::time::Instant;
 
@@ -38,6 +40,12 @@ use hdc::backend::PackedHv;
 use hdc::Encode;
 use linalg::Matrix;
 use wearables::profiles::{self, DatasetProfile};
+
+/// The least 1-bit over f32 class-memory scoring speedup a full run
+/// accepts at the paper's `D = 4000`: XOR + popcount over `D/64` words has
+/// to stay well ahead of a `D`-lane FMA sweep, or the 1-bit tier stops
+/// paying for its accuracy drop.
+const MIN_ONEBIT_SCORE_SPEEDUP: f64 = 5.0;
 
 /// One measured (profile, dim, tier) cell.
 struct Row {
@@ -264,4 +272,9 @@ fn main() {
     json.push_str("}\n");
     std::fs::write("BENCH_quant.json", json).expect("write BENCH_quant.json");
     eprintln!("[quantbench] wrote BENCH_quant.json");
+    assert!(
+        bit_speedup >= MIN_ONEBIT_SCORE_SPEEDUP,
+        "1-bit scoring is only {bit_speedup:.2}x f32 at D={top_dim}; \
+         expected at least {MIN_ONEBIT_SCORE_SPEEDUP}x"
+    );
 }

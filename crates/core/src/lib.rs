@@ -20,7 +20,7 @@
 //! module) stores one scaled signed byte per dimension and scores through
 //! the widening integer dot kernel (~4× smaller, cosine-faithful), and
 //! `quantize()` ([`quantized`] module) sign-binarizes class hypervectors
-//! into bitpacked `u64` words ([`hdc::backend::BitpackedSign`]) scored
+//! into bitpacked `u64` words ([`hdc::PackedMatrix`]) scored
 //! via XOR + popcount — 32× smaller and several times faster than the
 //! f32 cosine path at the paper's `D = 4000`.
 //!

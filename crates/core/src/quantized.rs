@@ -3,7 +3,7 @@
 //! Training stays in f32 (gradient-like OnlineHD updates need magnitude
 //! information), but a *deployed* model only scores queries. Sign-binarizing
 //! the trained class hypervectors and packing them into `u64` words
-//! ([`hdc::backend::BitpackedSign`]) shrinks the stored model 32× and turns
+//! ([`hdc::PackedMatrix`]) shrinks the stored model 32× and turns
 //! every similarity into `⌈D/64⌉` XOR + popcount operations — the binary-HDC
 //! execution model wearable accelerators implement in hardware.
 //!

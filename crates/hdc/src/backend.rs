@@ -1,4 +1,4 @@
-//! Pluggable hypervector storage backends.
+//! Bitpacked sign hypervectors: the 1-bit storage of binary HDC.
 //!
 //! The reference pipeline stores hypervectors as dense `Vec<f32>` and
 //! compares them with cosine similarity. Binary HDC (Schmuck et al.,
@@ -8,151 +8,22 @@
 //! compares with Hamming distance, turning a `D = 4000` similarity into a
 //! handful of `u64` XOR + popcount instructions while cutting memory 32×.
 //!
-//! This module abstracts over the two representations:
-//!
-//! * [`VectorBackend`] — the storage + algebra contract;
-//! * [`DenseF32`] — the reference backend, bit-for-bit the existing
-//!   `Vec<f32>` + cosine semantics;
-//! * [`BitpackedSign`] — sign-quantized hypervectors in packed `u64` words
-//!   ([`PackedHv`]), popcount similarity, majority-vote bundling;
+//! * [`PackedHv`] — one sign-quantized hypervector in packed `u64` words,
+//!   with popcount similarity;
 //! * [`PackedMatrix`] — a row-major stack of packed hypervectors (the
 //!   packed analogue of `linalg::Matrix`) with batch popcount scoring,
-//!   which is what quantized classifiers store per class.
+//!   which is what the 1-bit class memories store per class.
 //!
 //! The key exactness property (tested in `tests/properties.rs`): for
-//! bipolar `±1` vectors, [`BitpackedSign`] similarity *equals* f32 cosine,
-//! so class rankings agree exactly — quantization error comes only from
-//! the sign rounding itself, never from the packed arithmetic.
+//! bipolar `±1` vectors, packed similarity *equals* f32 cosine, so class
+//! rankings agree exactly — quantization error comes only from the sign
+//! rounding itself, never from the packed arithmetic.
 
 use crate::error::{HdcError, Result};
 use crate::ops;
 use linalg::share::{Blob, SharedSlice, Storage};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Storage and algebra for one hypervector representation.
-///
-/// Implementors are zero-sized tag types; all state lives in
-/// [`VectorBackend::Vector`]. Similarities are on the cosine scale
-/// `[-1, 1]` for every backend so scores stay comparable across
-/// representations (and across the `Classifier` trait).
-pub trait VectorBackend {
-    /// The owned hypervector representation.
-    type Vector: Clone + PartialEq + std::fmt::Debug + Send + Sync;
-
-    /// Human-readable backend name (used in benchmark/report labels).
-    const NAME: &'static str;
-
-    /// Builds a vector of this representation from a dense f32 hypervector.
-    fn from_dense(dense: &[f32]) -> Self::Vector;
-
-    /// Expands back to a dense f32 hypervector (lossy for quantized
-    /// backends: only the signs survive).
-    fn to_dense(v: &Self::Vector) -> Vec<f32>;
-
-    /// Dimensionality `D`.
-    fn dim(v: &Self::Vector) -> usize;
-
-    /// Similarity on the cosine scale `[-1, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic on dimension mismatch.
-    fn similarity(a: &Self::Vector, b: &Self::Vector) -> f32;
-
-    /// Bundles several hypervectors into one (sum for dense, majority vote
-    /// for packed).
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic on an empty input or dimension mismatch.
-    fn bundle(vs: &[Self::Vector]) -> Self::Vector;
-
-    /// Bytes of storage one hypervector occupies.
-    fn storage_bytes(v: &Self::Vector) -> usize;
-}
-
-/// The reference backend: dense `f32` components, cosine similarity,
-/// additive bundling. Bit-for-bit the semantics the pipeline had before
-/// backends existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DenseF32 {}
-
-impl VectorBackend for DenseF32 {
-    type Vector = Vec<f32>;
-
-    const NAME: &'static str = "dense_f32";
-
-    fn from_dense(dense: &[f32]) -> Vec<f32> {
-        dense.to_vec()
-    }
-
-    fn to_dense(v: &Vec<f32>) -> Vec<f32> {
-        v.clone()
-    }
-
-    fn dim(v: &Vec<f32>) -> usize {
-        v.len()
-    }
-
-    fn similarity(a: &Vec<f32>, b: &Vec<f32>) -> f32 {
-        ops::cosine_similarity(a, b)
-    }
-
-    fn bundle(vs: &[Vec<f32>]) -> Vec<f32> {
-        assert!(!vs.is_empty(), "bundle of zero hypervectors");
-        let mut acc = vs[0].clone();
-        for v in &vs[1..] {
-            ops::bundle_into(&mut acc, v, 1.0);
-        }
-        acc
-    }
-
-    fn storage_bytes(v: &Vec<f32>) -> usize {
-        v.len() * std::mem::size_of::<f32>()
-    }
-}
-
-/// The binary-HDC backend: one sign bit per dimension packed into `u64`
-/// words, Hamming/popcount similarity, majority-vote bundling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BitpackedSign {}
-
-impl VectorBackend for BitpackedSign {
-    type Vector = PackedHv;
-
-    const NAME: &'static str = "bitpacked_sign";
-
-    fn from_dense(dense: &[f32]) -> PackedHv {
-        PackedHv::from_signs(dense)
-    }
-
-    fn to_dense(v: &PackedHv) -> Vec<f32> {
-        v.to_bipolar()
-    }
-
-    fn dim(v: &PackedHv) -> usize {
-        v.dim()
-    }
-
-    fn similarity(a: &PackedHv, b: &PackedHv) -> f32 {
-        a.similarity(b)
-    }
-
-    fn bundle(vs: &[PackedHv]) -> PackedHv {
-        assert!(!vs.is_empty(), "bundle of zero hypervectors");
-        let dim = vs[0].dim();
-        let rows: Vec<&[u64]> = vs.iter().map(PackedHv::words).collect();
-        PackedHv {
-            words: ops::majority_bundle(&rows, dim),
-            dim,
-        }
-    }
-
-    fn storage_bytes(v: &PackedHv) -> usize {
-        v.words.len() * std::mem::size_of::<u64>()
-    }
-}
 
 /// A sign-quantized hypervector: `D` sign bits in `⌈D/64⌉` little-endian
 /// `u64` words (bit `d` of word `d/64` set ⇔ component `d` is `+1`).
@@ -581,47 +452,6 @@ mod tests {
         let pn = PackedHv::from_signs(&neg);
         assert_eq!(p.similarity(&pn), -1.0);
         assert_eq!(p.hamming(&pn), 256);
-    }
-
-    #[test]
-    fn majority_bundle_matches_sign_of_sum() {
-        let dims = [65usize, 200];
-        for dim in dims {
-            for k in [1usize, 2, 3, 5, 8] {
-                let dense: Vec<Vec<f32>> = (0..k)
-                    .map(|i| ops::to_bipolar(&random_dense(dim, 100 + i as u64)))
-                    .collect();
-                let mut sum = vec![0.0f32; dim];
-                for v in &dense {
-                    ops::bundle_into(&mut sum, v, 1.0);
-                }
-                let expect = PackedHv::from_signs(&ops::to_bipolar(&sum));
-                let packed: Vec<PackedHv> = dense.iter().map(|v| PackedHv::from_signs(v)).collect();
-                let got = BitpackedSign::bundle(&packed);
-                assert_eq!(got, expect, "dim {dim} k {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn dense_backend_matches_reference_ops() {
-        let a = random_dense(128, 5);
-        let b = random_dense(128, 6);
-        assert_eq!(DenseF32::similarity(&a, &b), ops::cosine_similarity(&a, &b));
-        let bundled = DenseF32::bundle(&[a.clone(), b.clone()]);
-        let mut expect = a.clone();
-        ops::bundle_into(&mut expect, &b, 1.0);
-        assert_eq!(bundled, expect);
-        assert_eq!(DenseF32::dim(&a), 128);
-        assert_eq!(DenseF32::to_dense(&a), a);
-    }
-
-    #[test]
-    fn storage_is_32x_smaller() {
-        let v = random_dense(4096, 7);
-        let dense_bytes = DenseF32::storage_bytes(&DenseF32::from_dense(&v));
-        let packed_bytes = BitpackedSign::storage_bytes(&BitpackedSign::from_dense(&v));
-        assert_eq!(dense_bytes, 32 * packed_bytes);
     }
 
     #[test]

@@ -16,15 +16,11 @@
 //! contiguous *row slice* of `P` — the `D/n`-dimensional sub-space — produced
 //! by [`SinusoidEncoder::slice_dims`].
 
-use crate::backend::PackedHv;
 use crate::error::{HdcError, Result};
 use linalg::{Matrix, Rng64};
 use serde::{Deserialize, Serialize};
 
 /// Types that encode feature vectors into hypervectors.
-///
-/// The trait is object-safe so heterogeneous encoder stacks can be stored
-/// behind `Box<dyn Encode>`.
 pub trait Encode {
     /// Output dimensionality `D`.
     fn dim(&self) -> usize;
@@ -53,31 +49,6 @@ pub trait Encode {
             });
         }
         Ok(self.encode_row(x))
-    }
-
-    /// Encodes one feature vector directly into the bitpacked sign
-    /// representation (see [`crate::backend::BitpackedSign`]).
-    ///
-    /// The default packs the dense [`Encode::encode_row`] output, which
-    /// keeps the packed row bit-identical to a packed batch row for any
-    /// encoder whose batch path reproduces its row path.
-    ///
-    /// # Panics
-    ///
-    /// As [`Encode::encode_row`].
-    fn encode_row_packed(&self, x: &[f32]) -> PackedHv {
-        PackedHv::from_signs(&self.encode_row(x))
-    }
-
-    /// Encodes a batch of samples directly into packed hypervectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != self.input_len()`.
-    fn encode_batch_packed(&self, x: &Matrix) -> Vec<PackedHv> {
-        (0..x.rows())
-            .map(|r| self.encode_row_packed(x.row(r)))
-            .collect()
     }
 
     /// Encodes a batch of samples (rows of `x`) into a `samples × D` matrix.
@@ -597,14 +568,6 @@ impl Encode for SinusoidEncoder {
         z
     }
 
-    fn encode_batch_packed(&self, x: &Matrix) -> Vec<PackedHv> {
-        // One fused GEMM for the whole batch, then pack each row's signs.
-        let z = self.encode_batch(x);
-        (0..z.rows())
-            .map(|r| PackedHv::from_signs(z.row(r)))
-            .collect()
-    }
-
     fn encode_batch(&self, x: &Matrix) -> Matrix {
         let mut z = Matrix::zeros(0, 0);
         self.encode_batch_into(x, &mut z);
@@ -677,7 +640,7 @@ impl SinusoidEncoder {
 }
 
 /// The sinusoid activation `φ_d = cos(z_d + b_d) · sin(z_d)` — the single
-/// definition every encode path (dense row, packed row, fused batch)
+/// definition every encode path (row, fused batch, rematerialized)
 /// shares, so the f32 training path and the packed inference path can
 /// never diverge.
 ///
@@ -736,128 +699,6 @@ fn fast_sin(x: f32) -> f32 {
 #[cfg(test)]
 fn sinusoid_phi_reference(zd: f32, bd: f32) -> f32 {
     (zd + bd).cos() * zd.sin()
-}
-
-/// Number of quantization levels used by [`LevelIdEncoder`] by default.
-pub const DEFAULT_LEVELS: usize = 32;
-
-/// Classic record-based level/ID encoder.
-///
-/// Each feature gets a random bipolar *ID* hypervector; each quantization
-/// level gets a *level* hypervector built by progressively flipping bits of
-/// a base vector so nearby levels stay similar. A sample is encoded as
-/// `Σ_f ID_f ⊙ L(level(x_f))` — bind feature identity to value level, bundle
-/// across features. Included as the conventional alternative to the
-/// sinusoid projection (useful for ablations; the paper's pipeline uses the
-/// projection encoder).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LevelIdEncoder {
-    ids: Matrix,
-    levels: Matrix,
-    lo: f32,
-    hi: f32,
-}
-
-impl LevelIdEncoder {
-    /// Creates an encoder with `levels` quantization levels spanning
-    /// `[lo, hi]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidConfig`] if `dim`, `input_len` or `levels`
-    /// is zero, or `lo >= hi`.
-    pub fn try_new(
-        dim: usize,
-        input_len: usize,
-        levels: usize,
-        lo: f32,
-        hi: f32,
-        rng: &mut Rng64,
-    ) -> Result<Self> {
-        if dim == 0 || input_len == 0 || levels == 0 {
-            return Err(HdcError::InvalidConfig {
-                reason: "dim, input_len and levels must all be positive".into(),
-            });
-        }
-        if lo >= hi {
-            return Err(HdcError::InvalidConfig {
-                reason: format!("level range [{lo}, {hi}] is empty"),
-            });
-        }
-        let mut ids = Matrix::zeros(input_len, dim);
-        for r in 0..input_len {
-            for c in 0..dim {
-                ids.set(r, c, if rng.chance(0.5) { 1.0 } else { -1.0 });
-            }
-        }
-        // Level vectors: start from a random bipolar base and flip a fresh
-        // random subset of D/levels positions per step, so similarity decays
-        // smoothly with level distance.
-        let mut levels_m = Matrix::zeros(levels, dim);
-        let mut current: Vec<f32> = (0..dim)
-            .map(|_| if rng.chance(0.5) { 1.0 } else { -1.0 })
-            .collect();
-        let flips_per_step = (dim / levels).max(1);
-        for l in 0..levels {
-            levels_m.row_mut(l).copy_from_slice(&current);
-            for _ in 0..flips_per_step {
-                let idx = rng.below(dim);
-                current[idx] = -current[idx];
-            }
-        }
-        Ok(Self {
-            ids,
-            levels: levels_m,
-            lo,
-            hi,
-        })
-    }
-
-    /// Creates an encoder with [`DEFAULT_LEVELS`] levels over `[-1, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` or `input_len` is zero.
-    pub fn new(dim: usize, input_len: usize, rng: &mut Rng64) -> Self {
-        Self::try_new(dim, input_len, DEFAULT_LEVELS, -1.0, 1.0, rng)
-            .expect("dim and input_len must be non-zero")
-    }
-
-    fn level_of(&self, x: f32) -> usize {
-        let levels = self.levels.rows();
-        let t = ((x - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0);
-        ((t * (levels - 1) as f32).round() as usize).min(levels - 1)
-    }
-}
-
-impl Encode for LevelIdEncoder {
-    fn dim(&self) -> usize {
-        self.ids.cols()
-    }
-
-    fn input_len(&self) -> usize {
-        self.ids.rows()
-    }
-
-    fn encode_row(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            x.len(),
-            self.input_len(),
-            "feature length {} does not match encoder input {}",
-            x.len(),
-            self.input_len()
-        );
-        let dim = self.dim();
-        let mut acc = vec![0.0f32; dim];
-        for (f, &value) in x.iter().enumerate() {
-            let level = self.levels.row(self.level_of(value));
-            let id = self.ids.row(f);
-            for d in 0..dim {
-                acc[d] += id[d] * level[d];
-            }
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -1110,21 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn remat_packed_paths_match_stored() {
-        let (stored, remat) = stored_and_remat_pair(270, 4, 55);
-        let mut rng = Rng64::seed_from(6);
-        let x = Matrix::random_uniform(5, 4, -1.0, 1.0, &mut rng);
-        assert_eq!(
-            stored.encode_batch_packed(&x),
-            remat.encode_batch_packed(&x)
-        );
-        assert_eq!(
-            stored.encode_row_packed(x.row(0)),
-            remat.encode_row_packed(x.row(0))
-        );
-    }
-
-    #[test]
     fn distinct_seeds_give_distinct_projections() {
         let mut r1 = Rng64::seed_from(1);
         let mut r2 = Rng64::seed_from(2);
@@ -1132,94 +958,5 @@ mod tests {
         let e2 = SinusoidEncoder::new(64, 4, &mut r2);
         let x = [0.5; 4];
         assert_ne!(e1.encode_row(&x), e2.encode_row(&x));
-    }
-
-    #[test]
-    fn packed_row_matches_packed_dense_row() {
-        let enc = encoder(200, 6);
-        let x = [0.4, -0.2, 0.9, -1.1, 0.0, 0.3];
-        let direct = enc.encode_row_packed(&x);
-        let via_dense = PackedHv::from_signs(&enc.encode_row(&x));
-        assert_eq!(direct, via_dense);
-        assert_eq!(direct.dim(), 200);
-    }
-
-    #[test]
-    fn packed_batch_matches_rowwise_packed() {
-        let enc = encoder(130, 4);
-        let mut rng = Rng64::seed_from(17);
-        let x = Matrix::random_uniform(7, 4, -1.0, 1.0, &mut rng);
-        let batch = enc.encode_batch_packed(&x);
-        assert_eq!(batch.len(), 7);
-        for (r, packed) in batch.iter().enumerate() {
-            // Batch and row paths share one kernel, so the dense encodings —
-            // and therefore the packed signs — agree bit-for-bit.
-            assert_eq!(packed, &enc.encode_row_packed(x.row(r)), "row {r}");
-        }
-    }
-
-    #[test]
-    fn default_trait_packed_path_works_for_level_id() {
-        let mut rng = Rng64::seed_from(19);
-        let enc = LevelIdEncoder::new(96, 3, &mut rng);
-        let x = [0.2, -0.4, 0.9];
-        assert_eq!(
-            enc.encode_row_packed(&x),
-            PackedHv::from_signs(&enc.encode_row(&x))
-        );
-    }
-
-    #[test]
-    fn level_id_encoder_basic() {
-        let mut rng = Rng64::seed_from(5);
-        let enc = LevelIdEncoder::new(512, 3, &mut rng);
-        assert_eq!(enc.dim(), 512);
-        assert_eq!(enc.input_len(), 3);
-        let hv = enc.encode_row(&[0.0, 0.5, -0.5]);
-        assert_eq!(hv.len(), 512);
-    }
-
-    #[test]
-    fn level_id_similar_values_similar_codes() {
-        let mut rng = Rng64::seed_from(6);
-        let enc = LevelIdEncoder::try_new(4096, 1, 64, -1.0, 1.0, &mut rng).unwrap();
-        let near_a = enc.encode_row(&[0.10]);
-        let near_b = enc.encode_row(&[0.15]);
-        let far = enc.encode_row(&[-0.9]);
-        let sim_near = cosine_similarity(&near_a, &near_b);
-        let sim_far = cosine_similarity(&near_a, &far);
-        assert!(sim_near > sim_far, "{sim_near} !> {sim_far}");
-    }
-
-    #[test]
-    fn level_id_invalid_range_rejected() {
-        let mut rng = Rng64::seed_from(0);
-        assert!(LevelIdEncoder::try_new(16, 2, 4, 1.0, -1.0, &mut rng).is_err());
-        assert!(LevelIdEncoder::try_new(16, 2, 0, -1.0, 1.0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn level_quantization_clamps() {
-        let mut rng = Rng64::seed_from(9);
-        let enc = LevelIdEncoder::try_new(64, 1, 8, 0.0, 1.0, &mut rng).unwrap();
-        // Out-of-range values clamp to the boundary levels rather than panic.
-        let lo = enc.encode_row(&[-100.0]);
-        let lo_edge = enc.encode_row(&[0.0]);
-        assert_eq!(lo, lo_edge);
-        let hi = enc.encode_row(&[100.0]);
-        let hi_edge = enc.encode_row(&[1.0]);
-        assert_eq!(hi, hi_edge);
-    }
-
-    #[test]
-    fn encoders_are_object_safe() {
-        let mut rng = Rng64::seed_from(3);
-        let encoders: Vec<Box<dyn Encode>> = vec![
-            Box::new(SinusoidEncoder::new(32, 2, &mut rng)),
-            Box::new(LevelIdEncoder::new(32, 2, &mut rng)),
-        ];
-        for e in &encoders {
-            assert_eq!(e.encode_row(&[0.1, 0.2]).len(), 32);
-        }
     }
 }

@@ -8,17 +8,15 @@
 //! This crate provides the substrate the classifiers in the `boosthd` crate
 //! are built on:
 //!
-//! * [`ops`] — bundling, binding, permutation, cosine similarity, plus the
-//!   packed sign-bit primitives (XOR + popcount similarity, majority vote);
-//! * [`backend`] — pluggable hypervector representations:
-//!   [`DenseF32`] (reference `Vec<f32>` + cosine) and
-//!   [`BitpackedSign`] (1 bit/dimension in `u64`
-//!   words + popcount), behind the [`VectorBackend`]
-//!   trait;
-//! * [`Hypervector`] — an owned hypervector with the operations above;
+//! * [`ops`] — bundling, cosine similarity, bipolar quantization, plus the
+//!   packed sign-bit primitives (sign packing, XOR + popcount similarity);
+//! * [`backend`] — the 1-bit hypervector storage: [`PackedHv`] (one sign
+//!   bit per dimension in `u64` words) and [`PackedMatrix`] (a row-major
+//!   stack of them with batch popcount scoring), which the 1-bit class
+//!   memories in `boosthd` hold;
 //! * [`encoder`] — the nonlinear random-projection encoder
 //!   `φ(x) = cos(P·x + b) ⊙ sin(P·x)` the paper uses (`P ~ N(0,1)`,
-//!   `b ~ U[0, 2π)`), plus a level/ID record encoder;
+//!   `b ~ U[0, 2π)`);
 //! * [`partition`] — splitting the `D`-dimensional space into `n` disjoint
 //!   sub-spaces of `D/n` dimensions each, the core structural move of
 //!   BoostHD;
@@ -43,15 +41,13 @@
 pub mod backend;
 pub mod encoder;
 pub mod error;
-pub mod hypervector;
 pub mod ops;
 pub mod partition;
 pub mod span;
 pub mod theory;
 
-pub use backend::{BitpackedSign, DenseF32, PackedHv, PackedMatrix, VectorBackend};
-pub use encoder::{Encode, LevelIdEncoder, RematSpec, SinusoidEncoder};
+pub use backend::{PackedHv, PackedMatrix};
+pub use encoder::{Encode, RematSpec, SinusoidEncoder};
 pub use error::{HdcError, Result};
-pub use hypervector::Hypervector;
 pub use partition::DimensionPartition;
 pub use span::{span_utilization, SpanUtilization};

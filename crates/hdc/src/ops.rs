@@ -1,14 +1,14 @@
 //! Primitive hypervector operations.
 //!
-//! The paper (Section II-C) defines two key operations on hypervectors:
+//! The paper (Section II-C) builds its classifiers from two of them:
 //!
 //! * **Bundling** — element-wise addition `R = V₁ + V₂`, the memorization
 //!   primitive that accumulates samples into class hypervectors;
-//! * **Binding** — element-wise multiplication `R = V₁ * V₂`, which produces
-//!   a vector quasi-orthogonal to both inputs (`δ(R, V₁) ≈ 0`).
+//! * **Similarity** (Equation 1) — `δ(V₁, V₂) = V₁ᵀV₂ / (‖V₁‖·‖V₂‖)`,
+//!   cosine similarity.
 //!
-//! Plus the similarity function (Equation 1):
-//! `δ(V₁, V₂) = V₁ᵀV₂ / (‖V₁‖·‖V₂‖)` — cosine similarity.
+//! Plus the sign-bit primitives the 1-bit class memories use: bipolar
+//! quantization, sign packing and the packed XOR + popcount similarity.
 
 use linalg::matrix::{dot, norm};
 
@@ -50,30 +50,6 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 pub fn bundle_into(acc: &mut [f32], src: &[f32], w: f32) {
     assert_eq!(acc.len(), src.len(), "bundle length mismatch");
     linalg::kernels::axpy(acc, src, w);
-}
-
-/// Binding: element-wise product of two hypervectors.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn bind(a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "bind length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).collect()
-}
-
-/// Cyclic permutation by `shift` positions (`ρ` operator), used to encode
-/// sequence/position information.
-pub fn permute(v: &[f32], shift: usize) -> Vec<f32> {
-    if v.is_empty() {
-        return Vec::new();
-    }
-    let n = v.len();
-    let s = shift % n;
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&v[n - s..]);
-    out.extend_from_slice(&v[..n - s]);
-    out
 }
 
 /// Normalizes `v` to unit Euclidean norm in place; leaves a zero vector
@@ -158,87 +134,9 @@ pub fn packed_similarity(a: &[u64], b: &[u64], dim: usize) -> f32 {
     1.0 - 2.0 * hamming_packed(a, b) as f32 / dim as f32
 }
 
-/// Majority-vote bundling of packed sign hypervectors: output bit `d` is
-/// set iff at least half of the inputs have bit `d` set — exactly
-/// `sign(Σᵢ vᵢ)` of the underlying bipolar vectors, with the sum's ties
-/// resolving to +1 like [`to_bipolar`].
-///
-/// Runs word-parallel: per output word, the 64 per-bit vote counters live
-/// as carry-save bitplanes (`⌈log₂ k⌉ + 1` words), each input is added
-/// with a ripple of AND/XOR, and the majority threshold is one lane-wise
-/// borrow-ripple compare — no per-bit extraction anywhere.
-///
-/// # Panics
-///
-/// Panics if `rows` is empty or any row has the wrong word count for `dim`.
-pub fn majority_bundle(rows: &[&[u64]], dim: usize) -> Vec<u64> {
-    assert!(!rows.is_empty(), "majority bundle of zero hypervectors");
-    let wpr = packed_words(dim);
-    for row in rows {
-        assert_eq!(row.len(), wpr, "word count disagrees with dim");
-    }
-    // Bit set ⇔ 2·ones ≥ k ⇔ ones ≥ ⌈k/2⌉ (ties to +1 like `to_bipolar`).
-    let threshold = rows.len().div_ceil(2) as u64;
-    let threshold_lanes = (u64::BITS - threshold.leading_zeros()) as usize;
-    let mut out = vec![0u64; wpr];
-    let mut planes: Vec<u64> = Vec::new();
-    for (w, out_word) in out.iter_mut().enumerate() {
-        planes.clear();
-        for row in rows {
-            // Carry-save add: plane i holds bit i of all 64 counters.
-            let mut carry_in = row[w];
-            for plane in planes.iter_mut() {
-                let carry = *plane & carry_in;
-                *plane ^= carry_in;
-                carry_in = carry;
-                if carry_in == 0 {
-                    break;
-                }
-            }
-            if carry_in != 0 {
-                planes.push(carry_in);
-            }
-        }
-        // Lane-wise `ones − threshold`: lanes that end without a borrow
-        // have ones ≥ threshold and win the majority.
-        let mut borrow = 0u64;
-        for i in 0..planes.len().max(threshold_lanes) {
-            let ones = planes.get(i).copied().unwrap_or(0);
-            let t = if (threshold >> i) & 1 == 1 {
-                u64::MAX
-            } else {
-                0
-            };
-            borrow = (!ones & (t | borrow)) | (t & borrow);
-        }
-        *out_word = !borrow;
-    }
-    if let Some(last) = out.last_mut() {
-        *last &= last_word_mask(dim);
-    }
-    out
-}
-
-/// Hamming distance between two bipolar hypervectors, normalized to `[0, 1]`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn hamming_distance(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "hamming length mismatch");
-    assert!(!a.is_empty(), "hamming distance of empty vectors");
-    let mismatches = a
-        .iter()
-        .zip(b.iter())
-        .filter(|(x, y)| (x.is_sign_negative()) != (y.is_sign_negative()))
-        .count();
-    mismatches as f32 / a.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linalg::Rng64;
 
     #[test]
     fn cosine_of_identical_is_one() {
@@ -276,57 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn binding_produces_quasi_orthogonal_vector() {
-        // Random high-dimensional bipolar vectors: bind(a,b) should be nearly
-        // orthogonal to both inputs (paper: δ(R, V1) ≈ 0).
-        let mut rng = Rng64::seed_from(2);
-        let d = 4096;
-        let a: Vec<f32> = (0..d)
-            .map(|_| if rng.chance(0.5) { 1.0 } else { -1.0 })
-            .collect();
-        let b: Vec<f32> = (0..d)
-            .map(|_| if rng.chance(0.5) { 1.0 } else { -1.0 })
-            .collect();
-        let bound = bind(&a, &b);
-        assert!(cosine_similarity(&bound, &a).abs() < 0.05);
-        assert!(cosine_similarity(&bound, &b).abs() < 0.05);
-    }
-
-    #[test]
-    fn binding_is_commutative_and_self_inverse_for_bipolar() {
-        let a = [1.0, -1.0, 1.0, -1.0];
-        let b = [-1.0, -1.0, 1.0, 1.0];
-        assert_eq!(bind(&a, &b), bind(&b, &a));
-        // For bipolar vectors bind(bind(a,b), b) = a.
-        let recovered = bind(&bind(&a, &b), &b);
-        assert_eq!(recovered, a.to_vec());
-    }
-
-    #[test]
-    fn permute_rotates_and_composes() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(permute(&v, 1), vec![4.0, 1.0, 2.0, 3.0]);
-        assert_eq!(permute(&permute(&v, 1), 3), v.to_vec());
-        assert_eq!(permute(&v, 4), v.to_vec());
-        assert_eq!(permute(&v, 0), v.to_vec());
-    }
-
-    #[test]
-    fn permute_empty_is_empty() {
-        assert!(permute(&[], 3).is_empty());
-    }
-
-    #[test]
-    fn permutation_preserves_similarity_structure() {
-        let mut rng = Rng64::seed_from(3);
-        let a: Vec<f32> = (0..512).map(|_| rng.normal()).collect();
-        let b: Vec<f32> = (0..512).map(|_| rng.normal()).collect();
-        let before = cosine_similarity(&a, &b);
-        let after = cosine_similarity(&permute(&a, 17), &permute(&b, 17));
-        assert!((before - after).abs() < 1e-5);
-    }
-
-    #[test]
     fn normalize_gives_unit_norm() {
         let mut v = vec![3.0, 4.0];
         normalize_inplace(&mut v);
@@ -339,18 +186,5 @@ mod tests {
     #[test]
     fn bipolar_quantization() {
         assert_eq!(to_bipolar(&[0.5, -0.5, 0.0]), vec![1.0, -1.0, 1.0]);
-    }
-
-    #[test]
-    fn hamming_of_identical_is_zero() {
-        let v = to_bipolar(&[1.0, -2.0, 3.0]);
-        assert_eq!(hamming_distance(&v, &v), 0.0);
-    }
-
-    #[test]
-    fn hamming_of_opposite_is_one() {
-        let v = [1.0, 1.0, -1.0];
-        let w = [-1.0, -1.0, 1.0];
-        assert_eq!(hamming_distance(&v, &w), 1.0);
     }
 }

@@ -70,14 +70,20 @@ pub fn duration_to_wire_ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Reads a JSON number as an exact non-negative integer fitting `u64`.
+/// Largest integer a wire field may carry: 2^53 − 1. JSON numbers parse
+/// as `f64`, which cannot tell 2^53 + 1 from 2^53, so a larger id would be
+/// answered under a different id.
+const MAX_WIRE_INT: f64 = ((1u64 << 53) - 1) as f64;
+
+/// Reads a JSON number as an exact integer in `0..=2^53 − 1`.
 ///
-/// Returns `None` for non-numbers, negatives, fractions, and values at
-/// or above 2^64 — a plain `as u64` cast would saturate those to
-/// arbitrary in-range values instead of rejecting them.
+/// Returns `None` for non-numbers, negatives, fractions, and values above
+/// [`MAX_WIRE_INT`] — a plain `as u64` cast would round or saturate those
+/// to some other in-range value instead of rejecting them. Every integer
+/// field of a request or reply goes through this one check.
 fn json_u64(v: &Json) -> Option<u64> {
     let n = v.as_num()?;
-    if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
+    if n < 0.0 || n.fract() != 0.0 || n > MAX_WIRE_INT {
         return None;
     }
     Some(n as u64)
@@ -218,7 +224,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, WireError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(WireError::Malformed(format!(
@@ -279,12 +285,23 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), WireError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+/// Deepest `[`/`{` nesting the parser follows. A valid frame nests two
+/// levels (an object holding the `features` array); the bound stops a run
+/// of `[` well inside the frame cap from recursing off the end of a
+/// handler thread's stack, which would abort the whole server.
+const MAX_JSON_DEPTH: usize = 32;
+
+/// Parses one value; `depth` counts the arrays and objects around it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(WireError::Malformed("unexpected end of input".into())),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_JSON_DEPTH => Err(WireError::Malformed(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at offset {}",
+            *pos
+        ))),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -390,7 +407,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -399,7 +416,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -417,7 +434,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -430,7 +447,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -545,24 +562,18 @@ impl Request {
             }
             row.push(f);
         }
-        let uint_field = |key: &str| -> Result<Option<u64>, WireError> {
-            match value.get(key) {
-                None => Ok(None),
-                Some(v) => {
-                    let n = v.as_num().ok_or_else(|| {
-                        WireError::BadRequest(format!("`{key}` must be a number"))
-                    })?;
-                    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-                        return Err(WireError::BadRequest(format!(
-                            "`{key}` must be a non-negative integer, got {n}"
-                        )));
-                    }
-                    Ok(Some(n as u64))
-                }
-            }
+        let int_field = |key: &str| {
+            value
+                .get(key)
+                .map(|v| {
+                    json_u64(v).ok_or_else(|| {
+                        WireError::BadRequest(format!("`{key}` must be an integer in 0..=2^53-1"))
+                    })
+                })
+                .transpose()
         };
-        let id = uint_field("id")?.unwrap_or(0);
-        let deadline_ms = uint_field("deadline_ms")?;
+        let id = int_field("id")?.unwrap_or(0);
+        let deadline_ms = int_field("deadline_ms")?;
         let model = match value.get("model") {
             None | Some(Json::Null) => None,
             Some(v) => Some(
@@ -1188,6 +1199,21 @@ mod tests {
         ));
         assert!(matches!(
             Request::parse("{}"),
+            Err(WireError::BadRequest(_))
+        ));
+        // Nesting past the depth bound is malformed, not a stack overflow.
+        assert!(matches!(
+            Request::parse(&"[".repeat(60_000)),
+            Err(WireError::Malformed(_))
+        ));
+        // Integers past 2^53 − 1 are rejected: as f64, 2^53 + 1 rounds to
+        // another id and 2^64 saturates to `u64::MAX`.
+        assert!(matches!(
+            Request::parse("{\"id\":18446744073709551616,\"features\":[1]}"),
+            Err(WireError::BadRequest(_))
+        ));
+        assert!(matches!(
+            Request::parse("{\"id\":9007199254740993,\"features\":[1]}"),
             Err(WireError::BadRequest(_))
         ));
     }

@@ -89,12 +89,18 @@ fn malformed_frame_gets_error_and_keeps_connection() {
         }
         other => panic!("expected a descriptive error, got {other:?}"),
     }
+    // Deep nesting inside the frame cap is malformed too; it must not
+    // overflow the handler's stack and abort the server.
+    match client.send_raw(&"[".repeat(60_000)).and(client.recv()) {
+        Ok(Some(Reply::Error { code, .. })) => assert_eq!(code.as_deref(), Some("bad_frame")),
+        other => panic!("expected a bad_frame error, got {other:?}"),
+    }
     // The connection survives: a well-formed request still answers.
     match client.predict(1, &[0.5; FEATURES]).unwrap() {
         Reply::Predict { id, .. } => assert_eq!(id, 1),
         other => panic!("connection should have survived, got {other:?}"),
     }
-    assert_eq!(server.shutdown_and_join().protocol_errors, 1);
+    assert_eq!(server.shutdown_and_join().protocol_errors, 2);
 }
 
 #[test]

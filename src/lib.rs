@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use boosthd_serve::{EngineConfig, InferenceEngine};
     pub use eval_harness;
-    pub use hdc::{DimensionPartition, Hypervector, SinusoidEncoder};
+    pub use hdc::{DimensionPartition, SinusoidEncoder};
     pub use linalg::{Matrix, Rng64};
     pub use reliability::{flip_bits, Perturbable};
     pub use wearables::{self, Dataset, DatasetProfile, SubjectGroup};
