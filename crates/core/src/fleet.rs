@@ -767,18 +767,6 @@ impl Fleet {
         Ok(())
     }
 
-    /// Drops a model from residency (its blob is freed once the last
-    /// in-flight snapshot drops). Returns whether it was resident.
-    pub fn evict(&self, model_id: &str) -> bool {
-        let mut st = self.state.lock().unwrap();
-        if let Some(r) = st.resident.remove(model_id) {
-            st.retiring.push(Arc::downgrade(&r.model));
-            true
-        } else {
-            false
-        }
-    }
-
     /// Number of models currently resident.
     pub fn resident_count(&self) -> usize {
         self.state.lock().unwrap().resident.len()

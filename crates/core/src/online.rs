@@ -260,42 +260,6 @@ impl OnlineHd {
     pub fn quantize_bipolar(&mut self) {
         bipolarize_rows(&mut self.single.memory);
     }
-
-    /// Swaps the stored-projection encoder for its seed-recipe equivalent:
-    /// the projection matrix is dropped and regenerated block-wise from
-    /// `config.seed` on every encode (see
-    /// [`SinusoidEncoder::try_new_remat`]). Encodings — and therefore
-    /// predictions and persisted scores — are **bit-identical** to the
-    /// stored path; what changes is the memory/persistence footprint
-    /// (`D × F` f32 become a ~32-byte recipe) against recompute time.
-    ///
-    /// Only models trained through [`OnlineHd::fit`] /
-    /// [`OnlineHd::fit_weighted`] qualify: their encoder draws are the
-    /// first use of `Rng64::seed_from(config.seed)`, which is exactly the
-    /// stream the recipe replays. The regenerated bias is compared
-    /// bitwise against the stored one as an integrity check.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] when the stored encoder was
-    /// not derived from `config.seed` (e.g. a hand-assembled model), and
-    /// [`BoostHdError::InvalidConfig`] for degenerate shapes.
-    pub fn rematerialize_encoder(&mut self) -> Result<()> {
-        let encoder = &self.single.encoder;
-        if encoder.is_rematerialized() {
-            return Ok(());
-        }
-        let remat =
-            SinusoidEncoder::try_new_remat(self.dim(), encoder.input_len(), self.config.seed)
-                .map_err(BoostHdError::from)?;
-        if remat.bias() != encoder.bias() {
-            return Err(BoostHdError::DataMismatch {
-                reason: "stored encoder does not match the seed recipe (bias mismatch)".into(),
-            });
-        }
-        self.single.encoder = remat;
-        Ok(())
-    }
 }
 
 impl Classifier for OnlineHd {

@@ -15,8 +15,6 @@
 //! packed   := rows:u64 dim:u64 vec<u64> (v2+, bitpacked sign matrices)
 //! i8rows   := rows:u64 cols:u64 vec<f32> vec<i8>  (v4+, scaled int8 rows)
 //! encoder  := matrix vec<f32>           (stored projection + bias)
-//!           | remat:u64(=u64::MAX) dim:u64 input_len:u64 bandwidth:f32
-//!             seed:u64                  (v4+, rematerialized recipe)
 //! ```
 //!
 //! The same grammar also serializes in a **heap-mode** split (see
@@ -30,10 +28,12 @@
 //! Version history: **v1** stored only the dense-f32 models (kinds 1–2);
 //! **v2** adds the bitpacked inference models (kinds 3–4); **v3** adds the
 //! centroid model (kind 5); **v4** adds the scaled-int8 inference models
-//! (kinds 6–7) and the rematerialized-encoder recipe (a `u64::MAX` row
-//! sentinel where a stored projection's row count would sit, so
-//! stored-encoder payloads stay byte-identical to v1). Every version keeps
-//! the earlier layouts unchanged, so old blobs remain readable.
+//! (kinds 6–7). Every version keeps the earlier layouts unchanged, so old
+//! blobs remain readable. The one exception: v4 writers could also store a
+//! rematerialized-encoder recipe (a `u64::MAX` row sentinel where a stored
+//! projection's row count would sit) instead of the projection. Readers
+//! now reject such blobs with a [`BoostHdError::DataMismatch`] rather than
+//! expand a few dozen bytes into a `D·F` matrix.
 //!
 //! # Model kinds
 //!
@@ -98,7 +98,7 @@ use crate::pipeline::{Model, PayloadKind};
 use crate::quantized::{QuantizedBoostHd, QuantizedHd};
 use crate::quantized_i8::{QuantizedI8BoostHd, QuantizedI8Hd};
 use hdc::backend::PackedMatrix;
-use hdc::encoder::{RematSpec, SinusoidEncoder};
+use hdc::encoder::SinusoidEncoder;
 use linalg::{Blob, Matrix, SharedSlice, Storage};
 use std::sync::Arc;
 
@@ -159,8 +159,9 @@ fn persisted(payload: PayloadKind) -> &'static Format {
 }
 
 /// Row-count sentinel marking a rematerialized-encoder recipe where a
-/// stored projection's `rows:u64` would sit (no real projection has
-/// `u64::MAX` rows, and v1–v3 readers fail loudly on it).
+/// stored projection's `rows:u64` would sit. Recipes are no longer
+/// supported; [`get_encoder`] names them in its error instead of reporting
+/// a matrix-shape overflow.
 const REMAT_SENTINEL: u64 = u64::MAX;
 
 /// Row-count sentinel marking a stored projection serialized as its F×D
@@ -691,44 +692,25 @@ pub(crate) fn check_header(r: &mut Reader<'_>, payload: PayloadKind) -> Result<u
 }
 
 pub(crate) fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
-    match enc.remat_spec() {
-        Some(spec) => {
-            w.put_u64(REMAT_SENTINEL);
-            w.put_u64(spec.dim as u64);
-            w.put_u64(spec.input_len as u64);
-            w.put_f32(spec.bandwidth);
-            w.put_u64(spec.seed);
-        }
-        None if w.has_heap() => {
-            // Heap mode persists the F×D transpose the encoder actually
-            // holds, so a shared read borrows the projection out of the
-            // blob with no transpose pass (and no allocation).
-            w.put_u64(STORED_T_SENTINEL);
-            w.put_matrix(enc.projection_t().expect("stored encoder has projection"));
-            w.put_f32_slice(enc.bias());
-        }
-        None => {
-            w.put_matrix(&enc.projection_matrix());
-            w.put_f32_slice(enc.bias());
-        }
+    if w.has_heap() {
+        // Heap mode persists the F×D transpose the encoder actually holds,
+        // so a shared read borrows the projection out of the blob with no
+        // transpose pass (and no allocation).
+        w.put_u64(STORED_T_SENTINEL);
+        w.put_matrix(enc.projection_t());
+    } else {
+        w.put_matrix(&enc.projection_matrix());
     }
+    w.put_f32_slice(enc.bias());
 }
 
 pub(crate) fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEncoder> {
     let rows = r.get_u64()?;
     if rows == REMAT_SENTINEL {
-        if version < 4 {
-            return Err(persist_err(format!(
-                "rematerialized encoder requires blob version 4, got {version}"
-            )));
-        }
-        let spec = RematSpec {
-            dim: r.get_len()?,
-            input_len: r.get_len()?,
-            bandwidth: r.get_f32()?,
-            seed: r.get_u64()?,
-        };
-        return SinusoidEncoder::from_remat_spec(spec).map_err(BoostHdError::from);
+        return Err(persist_err(
+            "blob holds a rematerialized-encoder recipe; \
+             only stored projections are supported",
+        ));
     }
     if rows == STORED_T_SENTINEL {
         if version < 4 {
@@ -1208,58 +1190,6 @@ mod tests {
     }
 
     #[test]
-    fn remat_encoder_round_trips_as_recipe() {
-        use hdc::encoder::{Encode, SinusoidEncoder};
-        // A rematerialized encoder persists as a ~32-byte recipe instead of
-        // the D×F projection, and reloads to bit-identical encodings.
-        let enc = SinusoidEncoder::try_new_remat(128, 6, 77).unwrap();
-        let mut rng = Rng64::seed_from(3);
-        let probe = Matrix::random_normal(5, 6, &mut rng);
-        let mut w = Writer::new();
-        super::put_encoder(&mut w, &enc);
-        let bytes = w.into_bytes();
-        assert!(
-            bytes.len() < 64,
-            "remat recipe should be tiny, got {} bytes",
-            bytes.len()
-        );
-        let mut r = Reader::new(&bytes);
-        let restored = super::get_encoder(&mut r, VERSION).unwrap();
-        assert!(restored.is_rematerialized());
-        assert_eq!(enc.encode_batch(&probe), restored.encode_batch(&probe));
-        // Pre-v4 readers must reject the sentinel loudly.
-        let mut r = Reader::new(&bytes);
-        let err = super::get_encoder(&mut r, 3).unwrap_err();
-        assert!(err.to_string().contains("requires blob version 4"), "{err}");
-    }
-
-    #[test]
-    fn i8_model_with_remat_encoder_round_trips() {
-        let (x, y) = toy();
-        let config = OnlineHdConfig {
-            dim: 96,
-            epochs: 4,
-            ..Default::default()
-        };
-        let mut model = OnlineHd::fit(&config, &x, &y).unwrap();
-        model.rematerialize_encoder().unwrap();
-        let quantized = model.quantize_i8();
-        let stored_bytes = OnlineHd::fit(&config, &x, &y)
-            .unwrap()
-            .quantize_i8()
-            .to_bytes();
-        let remat_bytes = quantized.to_bytes();
-        assert!(
-            remat_bytes.len() * 2 < stored_bytes.len(),
-            "remat blob ({}) should be far smaller than stored ({})",
-            remat_bytes.len(),
-            stored_bytes.len()
-        );
-        let restored = QuantizedI8Hd::from_bytes(&remat_bytes).unwrap();
-        assert_eq!(quantized.scores_batch(&x), restored.scores_batch(&x));
-    }
-
-    #[test]
     fn centroid_round_trip_preserves_predictions() {
         let (x, y) = toy();
         let config = crate::CentroidHdConfig {
@@ -1359,6 +1289,27 @@ mod tests {
         w.put_u64(16);
         let err = Reader::new(&w.into_bytes()).get_matrix().unwrap_err();
         assert!(err.to_string().contains("overflows"), "{err}");
+        // Full BHD1 blobs holding a rematerialized-encoder recipe are
+        // rejected from their 50 bytes alone: neither an impossible `D·F`
+        // nor a merely huge one (2^38 Gaussian draws) is expanded.
+        for (dim, input_len) in [(1u64 << 62, 4u64), (1 << 30, 1 << 8)] {
+            let mut w = Writer::new();
+            put_header(&mut w, PayloadKind::CentroidHd);
+            w.put_u64(2); // num_classes
+            w.put_u64(REMAT_SENTINEL);
+            w.put_u64(dim);
+            w.put_u64(input_len);
+            w.put_f32(16.0); // bandwidth
+            w.put_u64(7); // seed
+            let blob = w.into_bytes();
+            assert_eq!(blob.len(), 50);
+            match CentroidHd::from_bytes(&blob) {
+                Err(BoostHdError::DataMismatch { reason }) => {
+                    assert!(reason.contains("rematerialized-encoder recipe"), "{reason}")
+                }
+                other => panic!("recipe blob D={dim} F={input_len}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1408,7 +1359,7 @@ mod tests {
         assert!(r.is_exhausted());
         assert_eq!(model.scores_batch(&x), restored.scores_batch(&x));
         assert!(restored.class_hypervectors().is_shared());
-        assert!(restored.encoder().projection_t().unwrap().is_shared());
+        assert!(restored.encoder().projection_t().is_shared());
     }
 
     #[test]

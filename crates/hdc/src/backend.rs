@@ -77,20 +77,6 @@ impl PackedHv {
         &self.words
     }
 
-    /// Mutable packed words — the fault-injection hook. Callers flipping
-    /// bits must stay below [`PackedHv::dim`]; set padding bits are
-    /// cleaned up by [`PackedHv::remask`].
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Clears any padding bits (invariant repair after raw word mutation).
-    pub fn remask(&mut self) {
-        if let Some(last) = self.words.last_mut() {
-            *last &= ops::last_word_mask(self.dim);
-        }
-    }
-
     /// Hamming distance to `other` (differing sign bits).
     ///
     /// # Panics
@@ -320,22 +306,11 @@ impl PackedMatrix {
         &self.words
     }
 
-    /// Mutable flat word buffer — the fault-injection hook. See
-    /// [`PackedHv::words_mut`] for the padding caveat; repair with
-    /// [`PackedMatrix::remask`].
+    /// Mutable flat word buffer — the fault-injection hook. Callers
+    /// flipping bits must stay below [`PackedMatrix::dim`] in each row;
+    /// [`PackedMatrix::from_parts`] rejects set padding bits.
     pub fn as_words_mut(&mut self) -> &mut [u64] {
         &mut self.words
-    }
-
-    /// Clears padding bits in every row.
-    pub fn remask(&mut self) {
-        let mask = ops::last_word_mask(self.dim);
-        if self.words_per_row == 0 {
-            return;
-        }
-        for r in 0..self.rows {
-            self.words[(r + 1) * self.words_per_row - 1] &= mask;
-        }
     }
 
     /// Batch popcount scoring: similarity of `query` against every row, on
@@ -462,14 +437,6 @@ mod tests {
             PackedHv::from_words(vec![0, 1 << 40], 100).is_err(),
             "padding bit set"
         );
-    }
-
-    #[test]
-    fn remask_clears_padding() {
-        let mut p = PackedHv::from_signs(&random_dense(70, 8));
-        p.words_mut()[1] |= 1 << 63; // padding bit (valid bits are 0..6)
-        p.remask();
-        assert!(PackedHv::from_words(p.words().to_vec(), 70).is_ok());
     }
 
     #[test]

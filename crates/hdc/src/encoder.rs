@@ -117,96 +117,17 @@ pub trait Encode {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SinusoidEncoder {
-    /// How the Gaussian projection is held: one stored `F × D` transpose
-    /// (the GEMM-friendly orientation — the encoder no longer pays for a
-    /// second `D × F` copy), or a rematerialization recipe that regenerates
-    /// projection rows from the RNG seed on every encode pass.
-    projection: Projection,
+    /// The `F × D` transpose of the (bandwidth-scaled) Gaussian projection:
+    /// the GEMM-friendly orientation and the only one either encode path
+    /// reads, stored once. The `D × F` form is derived on demand
+    /// ([`SinusoidEncoder::projection_matrix`]).
+    projection_t: Matrix,
     /// Per-dimension phase `b ~ U[0, 2π)`.
     bias: Vec<f32>,
     /// Precomputed `½·sin(b_d)`: the constant term of the activation
     /// identity (see [`sinusoid_phi`]), so encoding costs one transcendental
     /// per dimension instead of two.
     half_sin_bias: Vec<f32>,
-}
-
-/// Projection storage strategy (see [`SinusoidEncoder`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Projection {
-    /// The `F × D` transpose of the (bandwidth-scaled) Gaussian projection —
-    /// the only orientation either encode path reads, stored once. The
-    /// `D × F` form is derived on demand ([`SinusoidEncoder::projection_matrix`]).
-    Stored(Matrix),
-    /// No stored matrix at all: projection rows are regenerated from the
-    /// seed, block by block, during every encode pass (Schmuck et al.'s
-    /// rematerialization — trades `4·D·F` bytes of memory for `D·F` extra
-    /// Gaussian draws per pass).
-    Remat(RematSpec),
-}
-
-/// The recipe a rematerialized encoder regenerates its projection from:
-/// exactly the draws [`SinusoidEncoder::try_with_bandwidth`] makes from
-/// `Rng64::seed_from(seed)`, so a rematerialized encoder and a stored
-/// encoder built from the same seed are **bit-identical** in every output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RematSpec {
-    /// Seed of the `Rng64` stream the projection and phases come from.
-    pub seed: u64,
-    /// Output dimensionality `D`.
-    pub dim: usize,
-    /// Input feature count `F`.
-    pub input_len: usize,
-    /// Kernel bandwidth the raw `N(0, 1)` draws are divided by.
-    pub bandwidth: f32,
-}
-
-/// Dimensions regenerated per block during a rematerialized encode pass:
-/// bounds the transient buffer at `REMAT_BLOCK_DIMS × F` floats.
-const REMAT_BLOCK_DIMS: usize = 256;
-
-/// Streams the rematerialized projection in ascending-dimension blocks,
-/// reproducing `Matrix::random_normal(dim, input_len, rng)` followed by
-/// `scale_inplace(1/bandwidth)` draw for draw (the Box–Muller spare carries
-/// across block boundaries because one `Rng64` walks the whole pass).
-struct RematBlocks {
-    rng: Rng64,
-    inv_bandwidth: f32,
-    input_len: usize,
-    remaining: usize,
-    next_dim: usize,
-}
-
-impl RematBlocks {
-    fn new(spec: &RematSpec) -> Self {
-        Self {
-            rng: Rng64::seed_from(spec.seed),
-            inv_bandwidth: 1.0 / spec.bandwidth,
-            input_len: spec.input_len,
-            remaining: spec.dim,
-            next_dim: 0,
-        }
-    }
-
-    /// Fills `buf` with the next block of projection rows (row-major,
-    /// `rows × input_len`), returning `(first_dim, rows)`; `None` when the
-    /// projection is exhausted.
-    fn next_block(&mut self, buf: &mut Vec<f32>) -> Option<(usize, usize)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let rows = self.remaining.min(REMAT_BLOCK_DIMS);
-        buf.clear();
-        buf.reserve(rows * self.input_len);
-        for _ in 0..rows * self.input_len {
-            // Same two f32 ops as the stored path: a raw N(0,1) draw, then
-            // one multiply by the precomputed reciprocal bandwidth.
-            buf.push(self.rng.normal() * self.inv_bandwidth);
-        }
-        let first = self.next_dim;
-        self.next_dim += rows;
-        self.remaining -= rows;
-        Some((first, rows))
-    }
 }
 
 impl SinusoidEncoder {
@@ -264,117 +185,27 @@ impl SinusoidEncoder {
         let bias = (0..dim)
             .map(|_| rng.uniform_in(0.0, std::f32::consts::TAU))
             .collect();
-        Ok(Self::assemble(
-            Projection::Stored(projection.transposed()),
-            bias,
-        ))
+        Ok(Self::assemble(projection.transposed(), bias))
     }
 
-    /// Fallible constructor for a **rematerialized** encoder with the
-    /// default `√F` bandwidth: no projection matrix is stored; rows are
-    /// regenerated from `Rng64::seed_from(seed)` on every encode pass.
-    ///
-    /// Bit-for-bit equivalent to passing `Rng64::seed_from(seed)` to
-    /// [`SinusoidEncoder::try_new`] — same draws, same accumulation order —
-    /// while holding `O(D)` memory instead of `O(D·F)` (the phase vectors).
-    /// Encoding pays one extra pass of `D·F` Gaussian draws, which batched
-    /// callers amortize over the whole chunk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidConfig`] if `dim` or `input_len` is zero.
-    pub fn try_new_remat(dim: usize, input_len: usize, seed: u64) -> Result<Self> {
-        Self::try_new_remat_with_bandwidth(dim, input_len, (input_len as f32).sqrt(), seed)
-    }
-
-    /// [`SinusoidEncoder::try_new_remat`] with an explicit kernel bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidConfig`] if `dim` or `input_len` is zero,
-    /// or `bandwidth` is not strictly positive.
-    pub fn try_new_remat_with_bandwidth(
-        dim: usize,
-        input_len: usize,
-        bandwidth: f32,
-        seed: u64,
-    ) -> Result<Self> {
-        if dim == 0 || input_len == 0 {
-            return Err(HdcError::InvalidConfig {
-                reason: "encoder dimensionality and input length must be positive".into(),
-            });
-        }
-        if bandwidth.is_nan() || bandwidth <= 0.0 {
-            return Err(HdcError::InvalidConfig {
-                reason: format!("bandwidth must be positive, got {bandwidth}"),
-            });
-        }
-        let spec = RematSpec {
-            seed,
-            dim,
-            input_len,
-            bandwidth,
-        };
-        // The bias draws sit *after* the D·F projection draws in the seed's
-        // stream; burn through the projection once to position the RNG
-        // (O(D·F) compute, O(1) memory — construction only).
-        let mut rng = Rng64::seed_from(seed);
-        for _ in 0..dim * input_len {
-            rng.normal();
-        }
-        let bias = (0..dim)
-            .map(|_| rng.uniform_in(0.0, std::f32::consts::TAU))
-            .collect();
-        Ok(Self::assemble(Projection::Remat(spec), bias))
-    }
-
-    /// Builds the encoder from its storage and phase vector, deriving the
-    /// activation constants — the single construction path every
-    /// constructor, slice, and persistence load funnels through.
-    fn assemble(projection: Projection, bias: Vec<f32>) -> Self {
+    /// Builds the encoder from its `F × D` projection and phase vector,
+    /// deriving the activation constants — the single construction path
+    /// every constructor, slice, and persistence load funnels through.
+    fn assemble(projection_t: Matrix, bias: Vec<f32>) -> Self {
         // Same sine as the hot loop, so φ(0) = ½sin(b) − ½sin(b) = 0 exactly.
         let half_sin_bias = bias.iter().map(|&b| 0.5 * fast_sin(b)).collect();
         Self {
-            projection,
+            projection_t,
             bias,
             half_sin_bias,
         }
     }
 
-    /// The Gaussian projection as a fresh `D × F` matrix (materializing a
-    /// rematerialized projection, transposing the stored one). This is the
-    /// persistence/interop orientation; neither encode path needs it.
+    /// The Gaussian projection as a fresh `D × F` matrix (the stored
+    /// transpose, transposed back). This is the persistence/interop
+    /// orientation; neither encode path needs it.
     pub fn projection_matrix(&self) -> Matrix {
-        match &self.projection {
-            Projection::Stored(projection_t) => projection_t.transposed(),
-            Projection::Remat(spec) => {
-                let mut out = Matrix::zeros(spec.dim, spec.input_len);
-                let mut blocks = RematBlocks::new(spec);
-                let mut buf = Vec::new();
-                while let Some((first, rows)) = blocks.next_block(&mut buf) {
-                    for r in 0..rows {
-                        out.row_mut(first + r)
-                            .copy_from_slice(&buf[r * spec.input_len..(r + 1) * spec.input_len]);
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Whether this encoder rematerializes its projection from a seed
-    /// instead of storing it.
-    pub fn is_rematerialized(&self) -> bool {
-        matches!(self.projection, Projection::Remat(_))
-    }
-
-    /// The rematerialization recipe, when this encoder uses one (the
-    /// persistence path stores the recipe instead of the matrix).
-    pub fn remat_spec(&self) -> Option<RematSpec> {
-        match &self.projection {
-            Projection::Remat(spec) => Some(*spec),
-            Projection::Stored(_) => None,
-        }
+        self.projection_t.transposed()
     }
 
     /// Borrows the phase vector.
@@ -403,10 +234,7 @@ impl SinusoidEncoder {
                 actual: bias.len(),
             });
         }
-        Ok(Self::assemble(
-            Projection::Stored(projection.transposed()),
-            bias,
-        ))
+        Ok(Self::assemble(projection.transposed(), bias))
     }
 
     /// Reassembles an encoder directly from the `F × D` **transposed**
@@ -436,27 +264,14 @@ impl SinusoidEncoder {
                 actual: bias.len(),
             });
         }
-        Ok(Self::assemble(Projection::Stored(projection_t), bias))
+        Ok(Self::assemble(projection_t, bias))
     }
 
-    /// Borrows the stored `F × D` transposed projection, or `None` for a
-    /// rematerialized encoder. The persistence orientation for the
-    /// zero-copy store (see [`SinusoidEncoder::from_parts_transposed`]).
-    pub fn projection_t(&self) -> Option<&Matrix> {
-        match &self.projection {
-            Projection::Stored(projection_t) => Some(projection_t),
-            Projection::Remat(_) => None,
-        }
-    }
-
-    /// Reassembles a **rematerialized** encoder from its stored recipe (the
-    /// persistence path for seed-persisted encoders).
-    ///
-    /// # Errors
-    ///
-    /// As [`SinusoidEncoder::try_new_remat_with_bandwidth`].
-    pub fn from_remat_spec(spec: RematSpec) -> Result<Self> {
-        Self::try_new_remat_with_bandwidth(spec.dim, spec.input_len, spec.bandwidth, spec.seed)
+    /// Borrows the stored `F × D` transposed projection: the persistence
+    /// orientation for the zero-copy store (see
+    /// [`SinusoidEncoder::from_parts_transposed`]).
+    pub fn projection_t(&self) -> &Matrix {
+        &self.projection_t
     }
 
     /// Extracts the sub-encoder covering hyperspace dimensions
@@ -476,37 +291,9 @@ impl SinusoidEncoder {
             "invalid dimension slice {start}..{end} for D={}",
             self.dim()
         );
-        let projection_t = match &self.projection {
-            // Projection rows `start..end` are transpose columns `start..end`.
-            Projection::Stored(projection_t) => projection_t.slice_columns(start, end),
-            // A sub-encoder covers a dimension range the recipe cannot
-            // express (its draws sit mid-stream), so slices materialize
-            // their rows — each weak learner holds `(end−start) × F`, which
-            // is the same per-learner footprint a stored parent would give.
-            Projection::Remat(spec) => {
-                let mut out = Matrix::zeros(spec.input_len, end - start);
-                let mut blocks = RematBlocks::new(spec);
-                let mut buf = Vec::new();
-                while let Some((first, rows)) = blocks.next_block(&mut buf) {
-                    if first >= end {
-                        break;
-                    }
-                    for r in 0..rows {
-                        let d = first + r;
-                        if d < start || d >= end {
-                            continue;
-                        }
-                        let row = &buf[r * spec.input_len..(r + 1) * spec.input_len];
-                        for (f, &v) in row.iter().enumerate() {
-                            out.set(f, d - start, v);
-                        }
-                    }
-                }
-                out
-            }
-        };
+        // Projection rows `start..end` are transpose columns `start..end`.
         SinusoidEncoder::assemble(
-            Projection::Stored(projection_t),
+            self.projection_t.slice_columns(start, end),
             self.bias[start..end].to_vec(),
         )
     }
@@ -514,17 +301,11 @@ impl SinusoidEncoder {
 
 impl Encode for SinusoidEncoder {
     fn dim(&self) -> usize {
-        match &self.projection {
-            Projection::Stored(projection_t) => projection_t.cols(),
-            Projection::Remat(spec) => spec.dim,
-        }
+        self.projection_t.cols()
     }
 
     fn input_len(&self) -> usize {
-        match &self.projection {
-            Projection::Stored(projection_t) => projection_t.rows(),
-            Projection::Remat(spec) => spec.input_len,
-        }
+        self.projection_t.rows()
     }
 
     fn encode_row(&self, x: &[f32]) -> Vec<f32> {
@@ -538,30 +319,11 @@ impl Encode for SinusoidEncoder {
         // The single-row case of the batch kernel: every output element
         // accumulates its feature contributions one at a time in ascending
         // order, mirroring the blocked GEMM's per-element order, so a row
-        // encoded alone is bit-identical to the same row inside a batch —
-        // in both storage modes.
+        // encoded alone is bit-identical to the same row inside a batch.
         let mut z = vec![0.0f32; self.dim()];
-        match &self.projection {
-            Projection::Stored(projection_t) => {
-                for (f, &xf) in x.iter().enumerate() {
-                    for (o, &p) in z.iter_mut().zip(projection_t.row(f)) {
-                        *o += xf * p;
-                    }
-                }
-            }
-            Projection::Remat(spec) => {
-                let mut blocks = RematBlocks::new(spec);
-                let mut buf = Vec::new();
-                while let Some((first, rows)) = blocks.next_block(&mut buf) {
-                    for r in 0..rows {
-                        let row = &buf[r * spec.input_len..(r + 1) * spec.input_len];
-                        let mut acc = 0.0f32;
-                        for (&xf, &p) in x.iter().zip(row) {
-                            acc += xf * p;
-                        }
-                        z[first + r] = acc;
-                    }
-                }
+        for (f, &xf) in x.iter().enumerate() {
+            for (o, &p) in z.iter_mut().zip(self.projection_t.row(f)) {
+                *o += xf * p;
             }
         }
         self.activate(&mut z);
@@ -582,43 +344,11 @@ impl Encode for SinusoidEncoder {
             x.cols(),
             self.input_len()
         );
-        match &self.projection {
-            Projection::Stored(projection_t) => {
-                // One fused GEMM (X · Pᵀ, via the stored transpose) then the
-                // activation. The blocked kernel streams each projection
-                // chunk once per row *block* instead of once per row — the
-                // memory-traffic win that makes batched encode outpace the
-                // row-at-a-time loop.
-                x.matmul_into(projection_t, out);
-            }
-            Projection::Remat(spec) => {
-                // Streaming block-encode: regenerate `REMAT_BLOCK_DIMS`
-                // projection rows at a time and fill the corresponding
-                // output columns for the whole batch, so the generation cost
-                // (one pass of D·F Gaussian draws) is amortized over every
-                // row in the chunk. Per output element the feature
-                // contributions accumulate in the same ascending sequential
-                // order as the GEMM, keeping batch == row == stored-mode
-                // equalities exact.
-                *out = Matrix::zeros(x.rows(), spec.dim);
-                let mut blocks = RematBlocks::new(spec);
-                let mut buf = Vec::new();
-                while let Some((first, rows)) = blocks.next_block(&mut buf) {
-                    for n in 0..x.rows() {
-                        let xr = x.row(n);
-                        let or = out.row_mut(n);
-                        for r in 0..rows {
-                            let row = &buf[r * spec.input_len..(r + 1) * spec.input_len];
-                            let mut acc = 0.0f32;
-                            for (&xf, &p) in xr.iter().zip(row) {
-                                acc += xf * p;
-                            }
-                            or[first + r] = acc;
-                        }
-                    }
-                }
-            }
-        }
+        // One fused GEMM (X · Pᵀ, via the stored transpose) then the
+        // activation. The blocked kernel streams each projection chunk once
+        // per row *block* instead of once per row — the memory-traffic win
+        // that makes batched encode outpace the row-at-a-time loop.
+        x.matmul_into(&self.projection_t, out);
         for r in 0..out.rows() {
             self.activate(out.row_mut(r));
         }
@@ -640,9 +370,8 @@ impl SinusoidEncoder {
 }
 
 /// The sinusoid activation `φ_d = cos(z_d + b_d) · sin(z_d)` — the single
-/// definition every encode path (row, fused batch, rematerialized)
-/// shares, so the f32 training path and the packed inference path can
-/// never diverge.
+/// definition every encode path (row and fused batch) shares, so the f32
+/// training path and the packed inference path can never diverge.
 ///
 /// Computed through the product-to-sum identity
 /// `cos(z + b) · sin(z) = ½·(sin(2z + b) − sin(b))` with `½·sin(b)`
@@ -864,90 +593,6 @@ mod tests {
             rebuilt.extend(sub.encode_row(&x));
         }
         assert_eq!(full, rebuilt);
-    }
-
-    fn stored_and_remat_pair(
-        dim: usize,
-        f: usize,
-        seed: u64,
-    ) -> (SinusoidEncoder, SinusoidEncoder) {
-        let mut rng = Rng64::seed_from(seed);
-        let stored = SinusoidEncoder::new(dim, f, &mut rng);
-        let remat = SinusoidEncoder::try_new_remat(dim, f, seed).unwrap();
-        (stored, remat)
-    }
-
-    #[test]
-    fn remat_matches_stored_bit_for_bit() {
-        // Both block boundaries (dim > REMAT_BLOCK_DIMS) and a ragged tail.
-        for (dim, f, seed) in [(64, 5, 3u64), (300, 7, 11), (513, 3, 29)] {
-            let (stored, remat) = stored_and_remat_pair(dim, f, seed);
-            assert_eq!(remat.dim(), dim);
-            assert_eq!(remat.input_len(), f);
-            assert_eq!(stored.bias(), remat.bias(), "bias stream diverged");
-            let mut rng = Rng64::seed_from(seed ^ 0xABCD);
-            let x = Matrix::random_uniform(6, f, -1.5, 1.5, &mut rng);
-            for r in 0..x.rows() {
-                assert_eq!(
-                    stored.encode_row(x.row(r)),
-                    remat.encode_row(x.row(r)),
-                    "row {r} (D={dim})"
-                );
-            }
-            assert_eq!(stored.encode_batch(&x), remat.encode_batch(&x));
-        }
-    }
-
-    #[test]
-    fn remat_batch_matches_remat_rowwise() {
-        let remat = SinusoidEncoder::try_new_remat(290, 4, 77).unwrap();
-        let mut rng = Rng64::seed_from(5);
-        let x = Matrix::random_uniform(9, 4, -1.0, 1.0, &mut rng);
-        let batch = remat.encode_batch(&x);
-        for r in 0..x.rows() {
-            assert_eq!(batch.row(r), remat.encode_row(x.row(r)).as_slice());
-        }
-    }
-
-    #[test]
-    fn remat_projection_matrix_matches_stored() {
-        let (stored, remat) = stored_and_remat_pair(70, 6, 13);
-        assert_eq!(stored.projection_matrix(), remat.projection_matrix());
-        assert!(remat.is_rematerialized());
-        assert!(!stored.is_rematerialized());
-        assert!(stored.remat_spec().is_none());
-        let spec = remat.remat_spec().unwrap();
-        assert_eq!((spec.dim, spec.input_len, spec.seed), (70, 6, 13));
-    }
-
-    #[test]
-    fn remat_slice_dims_matches_stored_slice() {
-        let (stored, remat) = stored_and_remat_pair(300, 5, 41);
-        let x = [0.4, -0.7, 1.1, 0.0, -0.2];
-        // A slice straddling a remat block boundary is the hard case.
-        let a = stored.slice_dims(200, 280);
-        let b = remat.slice_dims(200, 280);
-        assert!(!b.is_rematerialized(), "slices materialize their rows");
-        assert_eq!(a.encode_row(&x), b.encode_row(&x));
-        let full = remat.encode_row(&x);
-        assert_eq!(&full[200..280], b.encode_row(&x).as_slice());
-    }
-
-    #[test]
-    fn remat_spec_round_trips() {
-        let remat = SinusoidEncoder::try_new_remat(120, 3, 99).unwrap();
-        let restored = SinusoidEncoder::from_remat_spec(remat.remat_spec().unwrap()).unwrap();
-        let x = [0.5, -0.25, 2.0];
-        assert_eq!(remat.encode_row(&x), restored.encode_row(&x));
-        assert_eq!(remat.bias(), restored.bias());
-    }
-
-    #[test]
-    fn remat_rejects_degenerate_configs() {
-        assert!(SinusoidEncoder::try_new_remat(0, 4, 1).is_err());
-        assert!(SinusoidEncoder::try_new_remat(4, 0, 1).is_err());
-        assert!(SinusoidEncoder::try_new_remat_with_bandwidth(4, 4, 0.0, 1).is_err());
-        assert!(SinusoidEncoder::try_new_remat_with_bandwidth(4, 4, f32::NAN, 1).is_err());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod span;
 pub mod theory;
 
 pub use backend::{PackedHv, PackedMatrix};
-pub use encoder::{Encode, RematSpec, SinusoidEncoder};
+pub use encoder::{Encode, SinusoidEncoder};
 pub use error::{HdcError, Result};
 pub use partition::DimensionPartition;
 pub use span::{span_utilization, SpanUtilization};

@@ -139,15 +139,6 @@ impl FaultModel {
         }
     }
 
-    /// Whether this fault perturbs the training set (and therefore refits
-    /// the model every trial) rather than the trained model / test set.
-    pub fn is_train_time(&self) -> bool {
-        matches!(
-            self,
-            FaultModel::LabelNoise | FaultModel::ClassImbalance { .. }
-        )
-    }
-
     /// Whether this fault perturbs feature rows (and can therefore be
     /// injected into live streamed traffic via [`sensor_fault_hook`]).
     pub fn is_sensor_fault(&self) -> bool {

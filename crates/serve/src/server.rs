@@ -872,11 +872,6 @@ impl Server {
         self.inner.active_tier_tag()
     }
 
-    /// Admitted-but-unflushed requests right now.
-    pub fn queue_len(&self) -> usize {
-        lock(&self.inner.queue).len()
-    }
-
     /// Runs the runtime self-check (checksums with atomic repair, then the
     /// canary window) — the same path as the `health` wire command.
     pub fn health_check(&self) -> HealthReport {

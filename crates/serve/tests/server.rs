@@ -628,27 +628,28 @@ fn degraded_tier_predictions_match_standalone_quantized_pipeline() {
     server.shutdown_and_join();
 }
 
+/// Classes of a fixed, seeded probe set: the fingerprint the SEU tests
+/// compare before corruption and after repair.
+fn classify_probes(client: &mut Client) -> Vec<usize> {
+    let mut rng = Rng64::seed_from(7);
+    (0..8u64)
+        .map(|i| {
+            let row: Vec<f32> = (0..FEATURES).map(|_| 2.0 * rng.normal()).collect();
+            match client.predict(i, &row).unwrap() {
+                Reply::Predict { class, .. } => class,
+                other => panic!("probe failed: {other:?}"),
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn seu_corruption_is_detected_and_reload_restores_identical_predictions() {
     let server = default_server();
     let mut client = connect(&server);
 
     // Pin the healthy behavior on a fixed probe set.
-    let mut rng = Rng64::seed_from(7);
-    let probes: Vec<Vec<f32>> = (0..8)
-        .map(|_| (0..FEATURES).map(|_| 2.0 * rng.normal()).collect())
-        .collect();
-    let classify = |client: &mut Client| -> Vec<usize> {
-        probes
-            .iter()
-            .enumerate()
-            .map(|(i, row)| match client.predict(i as u64, row).unwrap() {
-                Reply::Predict { class, .. } => class,
-                other => panic!("probe failed: {other:?}"),
-            })
-            .collect()
-    };
-    let healthy = classify(&mut client);
+    let healthy = classify_probes(&mut client);
     match client.health().unwrap() {
         Reply::Raw(v) => {
             assert_eq!(v.get("status").and_then(|j| j.as_str()), Some("ok"));
@@ -661,7 +662,7 @@ fn seu_corruption_is_detected_and_reload_restores_identical_predictions() {
     // degrades, the serving layer must not crash)...
     let flipped = server.corrupt_live_model(0.01, 99);
     assert!(flipped > 0, "chaos hook must actually flip bits");
-    let _ = classify(&mut client);
+    let _ = classify_probes(&mut client);
 
     // ...and the next health check detects the checksum mismatch and
     // atomically reloads from the pinned envelope.
@@ -678,12 +679,89 @@ fn seu_corruption_is_detected_and_reload_restores_identical_predictions() {
         other => panic!("expected health report, got {other:?}"),
     }
     assert_eq!(
-        classify(&mut client),
+        classify_probes(&mut client),
         healthy,
         "reload must restore bit-identical predictions"
     );
     let stats = server.shutdown_and_join();
     assert_eq!(stats.model_reloads, 1);
+}
+
+#[test]
+fn periodic_model_check_repairs_corruption_without_a_health_frame() {
+    // With `model_check_interval_ms > 0` the watchdog verifies the live
+    // model's checksums on its own: an SEU is repaired with no `health`
+    // request from any client.
+    let server = start_server(ServerConfig {
+        tuning: ServerTuning {
+            model_check_interval_ms: 50,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let mut client = connect(&server);
+    let healthy = classify_probes(&mut client);
+
+    assert!(server.corrupt_live_model(0.01, 99) > 0);
+    let t0 = Instant::now();
+    while server.stats().model_reloads < 1 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "periodic check never repaired the corrupted model"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        classify_probes(&mut client),
+        healthy,
+        "reload must restore bit-identical predictions"
+    );
+    let stats = server.shutdown_and_join();
+    assert_eq!(stats.model_reloads, 1);
+}
+
+#[test]
+fn block_backpressure_holds_requests_until_the_queue_has_room() {
+    // queue_depth 1 with a paused batcher: A fills the queue, B waits in
+    // its handler (neither admitted nor shed) until the batcher drains A.
+    let server = start_server(ServerConfig {
+        tuning: ServerTuning {
+            queue_depth: 1,
+            backpressure: Backpressure::Block,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let addr = server.local_addr().to_string();
+    server.pause_batcher();
+    let mut a = Client::connect(&addr).unwrap();
+    a.send_predict(1, &[0.5; FEATURES]).unwrap();
+    let t0 = Instant::now();
+    while server.stats().admitted < 1 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "A never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut b = Client::connect(&addr).unwrap();
+    b.send_predict(2, &[-0.5; FEATURES]).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    let stats = server.stats();
+    assert_eq!(stats.admitted, 1, "B must wait for room, not be admitted");
+    assert_eq!(stats.shed, 0, "Block mode never sheds");
+    assert_eq!(stats.answered, 0);
+
+    server.resume_batcher();
+    for (client, want) in [(&mut a, 1), (&mut b, 2)] {
+        match client.recv().unwrap().unwrap() {
+            Reply::Predict { id, .. } => assert_eq!(id, want),
+            other => panic!("request {want} failed: {other:?}"),
+        }
+    }
+    let stats = server.shutdown_and_join();
+    assert_eq!(
+        (stats.admitted, stats.shed, stats.answered),
+        (2, 0, 2),
+        "both requests admitted and answered, none shed"
+    );
 }
 
 #[test]
