@@ -174,11 +174,11 @@ impl ClassMemory for Matrix {
 /// chunk width is large enough to amortize the projection stream across
 /// an encode GEMM row block, small enough that the encoded chunk
 /// (`chunk × D` f32) stays cache-resident instead of round-tripping a
-/// whole-batch hypervector matrix through memory. It comes from the
-/// startup autotuner ([`linalg::autotune`]); pin it with
-/// `HDC_NO_AUTOTUNE=1` for a fixed 256.
+/// whole-batch hypervector matrix through memory. It is the fixed
+/// [`linalg::autotune::SCORE_CHUNK`], so a batch splits at the same seams
+/// on every machine.
 fn for_each_chunk(x: &Matrix, mut f: impl FnMut(usize, &Matrix)) {
-    let chunk = linalg::autotune::score_chunk();
+    let chunk = linalg::autotune::SCORE_CHUNK;
     let mut start = 0;
     while start < x.rows() {
         let end = (start + chunk).min(x.rows());

@@ -154,11 +154,11 @@ pub fn try_default_threads() -> crate::error::Result<usize> {
 }
 
 /// Validates every runtime-tuning environment variable the stack consults
-/// (`HDC_THREADS` here, `HDC_FORCE_SCALAR` in `linalg::kernels`,
-/// `HDC_NO_AUTOTUNE` in `linalg::autotune`), mapping each failure to a
-/// clear [`crate::BoostHdError::InvalidConfig`]. Called once per
-/// [`crate::Pipeline::fit`] so config-driven deployments reject garbage
-/// before any work starts.
+/// (`HDC_THREADS` here, `HDC_FORCE_SCALAR` in `linalg::kernels`), mapping
+/// each failure to a clear [`crate::BoostHdError::InvalidConfig`]. Called
+/// once per [`crate::Pipeline::fit`], and by front ends such as `hdrun`
+/// before they load a model, so garbage is rejected before any work starts
+/// instead of panicking at the variable's first read.
 ///
 /// # Errors
 ///
@@ -166,9 +166,6 @@ pub fn try_default_threads() -> crate::error::Result<usize> {
 pub fn validate_runtime_env() -> crate::error::Result<()> {
     try_default_threads()?;
     linalg::kernels::force_scalar_from_env().map_err(|e| crate::BoostHdError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    linalg::autotune::no_autotune_from_env().map_err(|e| crate::BoostHdError::InvalidConfig {
         reason: e.to_string(),
     })?;
     Ok(())
@@ -280,20 +277,6 @@ mod tests {
             let err = parse_force_scalar_value(garbage).unwrap_err();
             assert!(
                 err.to_string().contains("HDC_FORCE_SCALAR"),
-                "{garbage}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn no_autotune_parsing_rejects_garbage() {
-        use linalg::autotune::parse_no_autotune_value;
-        assert!(parse_no_autotune_value("1").unwrap());
-        assert!(!parse_no_autotune_value("").unwrap());
-        for garbage in ["yes", "2", "pinned"] {
-            let err = parse_no_autotune_value(garbage).unwrap_err();
-            assert!(
-                err.to_string().contains("HDC_NO_AUTOTUNE"),
                 "{garbage}: {err}"
             );
         }

@@ -56,7 +56,6 @@ use crate::online::OnlineHd;
 use crate::persist::{format_of, Reader, Writer, FORMATS};
 use crate::spec::{BaselineSpec, ModelSpec};
 use faults::BitflipReport;
-use linalg::autotune::{Tuning, TuningSource};
 use linalg::{Blob, Matrix, Rng64};
 use std::sync::Arc;
 
@@ -311,20 +310,25 @@ const ENVELOPE_MAGIC: u32 = 0x5044_4842;
 /// Envelope version history:
 ///
 /// * v1 — magic, version, kind, abstain threshold, spec TOML, payload.
-/// * v2 — inserts the save-time kernel-tuning record
-///   (`score_chunk: u32`, `threads: u32`, [`TuningSource`] tag) after the
-///   abstain threshold, and assigns payload kinds 6/7 to the int8 tier.
-///   Tuning is diagnostic provenance only — predictions never depend on
-///   it — so loading replays nothing; v1 blobs read back with no record.
+/// * v2 — inserts a 9-byte record (`score_chunk: u32`, `threads: u32`,
+///   source tag `u8`) after the abstain threshold, and assigns payload
+///   kinds 6/7 to the int8 tier. The record once stamped the saving
+///   machine's kernel tuning; it is now always [`TUNING_RECORD`] and is
+///   kept only so the layout stays compatible. Loading checks the source
+///   tag and otherwise skips the record, since predictions never depended
+///   on it.
 const ENVELOPE_VERSION: u8 = 2;
 const ENVELOPE_MIN_VERSION: u8 = 1;
+/// The fixed v2 record: score chunk 256, threads 0, source tag 0 (pinned).
+/// Tag 1 (autotuned) still loads, so older envelopes stay readable.
+const TUNING_RECORD: (u32, u32, u8) = (256, 0, 0);
+const MAX_TUNING_SOURCE_TAG: u8 = 1;
 
 /// The unified model facade; see the [module docs](self).
 pub struct Pipeline {
     spec: ModelSpec,
     model: Box<dyn Model>,
     abstain_threshold: f32,
-    saved_tuning: Option<Tuning>,
 }
 
 impl Clone for Pipeline {
@@ -333,7 +337,6 @@ impl Clone for Pipeline {
             spec: self.spec.clone(),
             model: self.model.clone_box(),
             abstain_threshold: self.abstain_threshold,
-            saved_tuning: self.saved_tuning,
         }
     }
 }
@@ -382,7 +385,6 @@ impl Pipeline {
             spec: spec.clone(),
             model,
             abstain_threshold: 0.0,
-            saved_tuning: None,
         })
     }
 
@@ -393,16 +395,7 @@ impl Pipeline {
             spec,
             model,
             abstain_threshold: 0.0,
-            saved_tuning: None,
         }
-    }
-
-    /// The kernel-tuning record the envelope this pipeline was loaded from
-    /// carried (the [`linalg::autotune`] result of the machine that saved
-    /// it) — provenance for performance triage, never an input to
-    /// prediction. `None` for freshly-fit pipelines and v1 envelopes.
-    pub fn saved_tuning(&self) -> Option<Tuning> {
-        self.saved_tuning
     }
 
     /// The spec the model was built from.
@@ -564,15 +557,15 @@ impl Pipeline {
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
         let kind = self.persisted_kind()?;
         let payload = self.model.to_payload()?;
-        let tuning = linalg::autotune::tuning();
+        let (score_chunk, threads, source) = TUNING_RECORD;
         let mut w = Writer::new();
         w.put_u32(ENVELOPE_MAGIC);
         w.put_u8(ENVELOPE_VERSION);
         w.put_u8(kind.tag());
         w.put_f32(self.abstain_threshold);
-        w.put_u32(tuning.score_chunk as u32);
-        w.put_u32(tuning.threads as u32);
-        w.put_u8(tuning.source.tag());
+        w.put_u32(score_chunk);
+        w.put_u32(threads);
+        w.put_u8(source);
         put_counted(&mut w, self.spec.to_toml().as_bytes());
         put_counted(&mut w, &payload);
         Ok(w.into_bytes())
@@ -600,19 +593,13 @@ impl Pipeline {
         }
         let kind = PayloadKind::from_tag(r.get_u8()?)?;
         let abstain_threshold = r.get_f32()?;
-        let saved_tuning = if version >= 2 {
-            let score_chunk = r.get_u32()? as usize;
-            let threads = r.get_u32()? as usize;
-            let source = TuningSource::from_tag(r.get_u8()?)
-                .ok_or_else(|| pipeline_err("unknown tuning-source tag in envelope"))?;
-            Some(Tuning {
-                score_chunk,
-                threads,
-                source,
-            })
-        } else {
-            None
-        };
+        if version >= 2 {
+            r.get_u32()?;
+            r.get_u32()?;
+            if r.get_u8()? > MAX_TUNING_SOURCE_TAG {
+                return Err(pipeline_err("unknown tuning-source tag in envelope"));
+            }
+        }
         // Both counted sections validate their length prefix against the
         // bytes actually present before any allocation, so a corrupted
         // prefix fails descriptively instead of aborting on a huge
@@ -630,7 +617,6 @@ impl Pipeline {
         }
         let mut pipeline = Self::from_model(spec, model);
         pipeline.set_abstain_threshold(abstain_threshold);
-        pipeline.saved_tuning = saved_tuning;
         Ok(pipeline)
     }
 
@@ -1132,27 +1118,25 @@ mod tests {
         let restored = Pipeline::from_bytes(&v1).expect("v1 envelope must stay readable");
         assert_eq!(restored.predict_batch(&x), pipeline.predict_batch(&x));
         assert!((restored.abstain_threshold() - 0.4).abs() < 1e-6);
-        assert_eq!(restored.saved_tuning(), None, "v1 carries no tuning");
     }
 
     #[test]
-    fn envelope_records_and_restores_the_tuning_provenance() {
+    fn tuning_record_is_fixed_on_save_and_skipped_on_load() {
         let (x, y) = toy();
         let pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y).unwrap();
-        assert_eq!(
-            pipeline.saved_tuning(),
-            None,
-            "a freshly-fit pipeline has no envelope provenance"
-        );
-        let restored = Pipeline::from_bytes(&pipeline.to_bytes().unwrap()).unwrap();
-        let tuning = restored.saved_tuning().expect("v2 always records tuning");
-        assert_eq!(tuning, linalg::autotune::tuning(), "same-process save/load");
-        assert!(tuning.score_chunk.is_power_of_two() && tuning.score_chunk >= 64);
-        assert!(tuning.threads >= 1);
-        // Provenance is diagnostic only: re-saving the restored pipeline
-        // stamps the *current* machine's tuning, not the recorded one.
-        let again = Pipeline::from_bytes(&restored.to_bytes().unwrap()).unwrap();
-        assert_eq!(again.saved_tuning(), restored.saved_tuning());
+        let bytes = pipeline.to_bytes().unwrap();
+        assert_eq!(bytes[10..19], [0, 1, 0, 0, 0, 0, 0, 0, 0]);
+        // Older envelopes stamped whatever the saving process timed; any
+        // chunk and thread count with a known source tag loads the same.
+        let mut autotuned = bytes.clone();
+        autotuned[10..19].copy_from_slice(&[64, 0, 0, 0, 1, 0, 0, 0, 1]);
+        let restored = Pipeline::from_bytes(&autotuned).unwrap();
+        assert_eq!(restored.predict_batch(&x), pipeline.predict_batch(&x));
+        assert_eq!(restored.to_bytes().unwrap(), bytes);
+        let mut unknown = bytes;
+        unknown[18] = 2;
+        let err = Pipeline::from_bytes(&unknown).unwrap_err();
+        assert!(err.to_string().contains("tuning-source tag"), "{err}");
     }
 
     #[test]

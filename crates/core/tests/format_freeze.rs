@@ -197,6 +197,32 @@ fn envelopes_load_with_their_spec_and_bhd1_twin_predictions() {
     }
 }
 
+/// Bytes 10..19 of a v2 envelope: the record that once stamped the saving
+/// machine's kernel tuning and is now always score chunk 256, threads 0,
+/// source tag 0 (pinned), all little-endian.
+const FIXED_TUNING_RECORD: [u8; 9] = [0, 1, 0, 0, 0, 0, 0, 0, 0];
+
+#[test]
+fn envelopes_reencode_identically_apart_from_the_fixed_tuning_record() {
+    for (name, _) in fixtures() {
+        let original = read(&fixture_dir().join(format!("{name}.bhdp")));
+        let again = Pipeline::load(fixture_dir().join(format!("{name}.bhdp")))
+            .unwrap_or_else(|e| panic!("{name}: envelope failed to load: {e}"))
+            .to_bytes()
+            .unwrap();
+        assert_eq!(again.len(), original.len(), "{name}: envelope length");
+        assert!(
+            again[..10] == original[..10] && again[19..] == original[19..],
+            "{name}: re-encode changed bytes outside the tuning record"
+        );
+        assert_eq!(
+            again[10..19],
+            FIXED_TUNING_RECORD,
+            "{name}: tuning record is not the fixed one"
+        );
+    }
+}
+
 #[test]
 fn store_records_reappend_byte_identically() {
     let dir = scratch_dir("format-freeze");

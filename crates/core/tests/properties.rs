@@ -117,23 +117,43 @@ proptest! {
 
 /// Batch-vs-row equivalence: the tentpole invariant of the batched
 /// inference refactor. Every classifier's `predict_batch`/`scores_batch`
-/// must reproduce the mapped row-at-a-time calls bit for bit — dense and
-/// packed, clean and fault-injected — because the batched kernels share
-/// their per-element arithmetic with the row kernels.
+/// must reproduce the mapped row-at-a-time calls bit for bit — dense,
+/// int8 and packed, clean and fault-injected, within one score chunk and
+/// across chunk seams — because the batched kernels share their
+/// per-element arithmetic with the row kernels.
 mod batch_row_equivalence {
     use super::*;
+    use linalg::autotune::SCORE_CHUNK;
+
+    /// `x`'s rows cycled to `2 * SCORE_CHUNK + 7` rows, each pass scaled a
+    /// little differently so rows do not repeat: a batch that crosses two
+    /// score-chunk seams and ends on a partial chunk.
+    fn tall_batch(x: &Matrix) -> Matrix {
+        let rows: Vec<Vec<f32>> = (0..2 * SCORE_CHUNK + 7)
+            .map(|i| {
+                let scale = 1.0 + (i / x.rows()) as f32 * 0.01;
+                x.row(i % x.rows()).iter().map(|v| v * scale).collect()
+            })
+            .collect();
+        Matrix::from_rows(&rows).unwrap()
+    }
 
     fn assert_batch_matches_rows(name: &str, model: &dyn Classifier, x: &Matrix) {
-        let rowwise: Vec<usize> = (0..x.rows()).map(|r| model.predict(x.row(r))).collect();
-        assert_eq!(model.predict_batch(x), rowwise, "{name}: predictions");
-        let batch_scores = model.scores_batch(x);
-        assert_eq!(batch_scores.shape(), (x.rows(), model.num_classes()));
-        for r in 0..x.rows() {
-            // Compare raw bits so the contract also holds for NaN/Inf scores
-            // produced by exponent-bit faults (NaN != NaN under PartialEq).
-            let batch_bits: Vec<u32> = batch_scores.row(r).iter().map(|v| v.to_bits()).collect();
-            let row_bits: Vec<u32> = model.scores(x.row(r)).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(batch_bits, row_bits, "{name}: scores row {r}");
+        for x in [x.clone(), tall_batch(x)] {
+            let rowwise: Vec<usize> = (0..x.rows()).map(|r| model.predict(x.row(r))).collect();
+            assert_eq!(model.predict_batch(&x), rowwise, "{name}: predictions");
+            let batch_scores = model.scores_batch(&x);
+            assert_eq!(batch_scores.shape(), (x.rows(), model.num_classes()));
+            for r in 0..x.rows() {
+                // Compare raw bits so the contract also holds for NaN/Inf
+                // scores produced by exponent-bit faults (NaN != NaN under
+                // PartialEq).
+                let batch_bits: Vec<u32> =
+                    batch_scores.row(r).iter().map(|v| v.to_bits()).collect();
+                let row_bits: Vec<u32> =
+                    model.scores(x.row(r)).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(batch_bits, row_bits, "{name}: scores row {r}");
+            }
         }
     }
 
@@ -155,12 +175,16 @@ mod batch_row_equivalence {
             ).unwrap();
             let q_online = online.quantize();
             let q_boost = boost.quantize();
-            let models: [(&str, &dyn Classifier); 5] = [
+            let i8_online = online.quantize_i8();
+            let i8_boost = boost.quantize_i8();
+            let models: [(&str, &dyn Classifier); 7] = [
                 ("OnlineHd", &online),
                 ("CentroidHd", &centroid),
                 ("BoostHd", &boost),
                 ("QuantizedHd", &q_online),
                 ("QuantizedBoostHd", &q_boost),
+                ("QuantizedI8Hd", &i8_online),
+                ("QuantizedI8BoostHd", &i8_boost),
             ];
             for (name, model) in models {
                 assert_batch_matches_rows(name, model, &x);

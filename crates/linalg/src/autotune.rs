@@ -1,332 +1,17 @@
-//! Startup micro-autotuner for the kernel layer.
+//! The fixed score-chunk width of the batched scoring pipelines.
 //!
-//! The blocked-GEMM chunk width and the worker-thread fan-out that maximize
-//! throughput depend on the machine (cache sizes, core count, SMT), not on
-//! the model. This module times a few candidate configurations on tiny
-//! synthetic workloads the first time a tuning parameter is requested,
-//! caches the winner for the rest of the process, and exposes the record so
-//! persistence envelopes can stamp *which* tuning produced an artifact.
-//!
-//! # Determinism contract
-//!
-//! Tuning choices affect **performance only, never results**. Both tuned
-//! parameters are bit-invariant by the kernel layer's existing contracts:
-//!
-//! * the score-chunk width only changes how many rows are encoded per
-//!   blocked GEMM, and every batched kernel accumulates each output element
-//!   in the same per-element order regardless of blocking;
-//! * the worker-thread count fans row-independent work out over scoped
-//!   threads with order-preserving joins, so any thread count produces the
-//!   identical output.
-//!
-//! What the autotuner *does* perturb is wall-clock timing, and the timing
-//! samples themselves are machine- and load-dependent — two runs on
-//! different machines may pick different chunk widths. For reproducibility
-//! the choice is therefore (a) recorded in the BHDP pipeline envelope
-//! alongside the model (see `boosthd::pipeline`), and (b) pinnable:
-//! `HDC_NO_AUTOTUNE=1` skips the timing pass entirely and uses the fixed
-//! defaults ([`DEFAULT_SCORE_CHUNK`], hardware thread detection), so runs
-//! that must be timing-independent can opt out with one variable.
+//! Batched prediction encodes and scores a batch [`SCORE_CHUNK`] rows at a
+//! time. The width is a layout constant, not a per-process measurement:
+//! every batched kernel accumulates each output element in the same order
+//! whatever the blocking, so the width affects speed only, and a fixed
+//! value keeps that speed and the persisted envelope bytes independent of
+//! the machine. The module survives only because the `perfbench` report
+//! names [`score_chunk`] in its environment line.
 
-use std::sync::OnceLock;
-use std::time::Instant;
+/// Rows per encode/score chunk in the batched scoring pipelines.
+pub const SCORE_CHUNK: usize = 256;
 
-use crate::matrix::Matrix;
-
-/// Environment variable that pins the fixed default tuning when set to `1`
-/// (or `true`): `HDC_NO_AUTOTUNE=1`. Read once, at first tuning request.
-pub const NO_AUTOTUNE_ENV_VAR: &str = "HDC_NO_AUTOTUNE";
-
-/// The score-chunk width used when autotuning is pinned off (also the
-/// historical fixed value of the scoring pipeline).
-pub const DEFAULT_SCORE_CHUNK: usize = 256;
-
-/// Chunk widths the tuner times (rows per encode/score GEMM chunk).
-pub const SCORE_CHUNK_CANDIDATES: [usize; 4] = [64, 128, 256, 512];
-
-/// How the active [`Tuning`] was chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuningSource {
-    /// `HDC_NO_AUTOTUNE=1`: fixed defaults, no timing pass.
-    Pinned,
-    /// Chosen by the startup timing pass on this machine.
-    Autotuned,
-}
-
-impl TuningSource {
-    /// Stable one-byte wire tag (for the persistence envelope).
-    pub fn tag(self) -> u8 {
-        match self {
-            TuningSource::Pinned => 0,
-            TuningSource::Autotuned => 1,
-        }
-    }
-
-    /// Inverse of [`TuningSource::tag`]; `None` for unknown tags.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(TuningSource::Pinned),
-            1 => Some(TuningSource::Autotuned),
-            _ => None,
-        }
-    }
-
-    /// Human-readable name for logs and JSON snapshots.
-    pub fn name(self) -> &'static str {
-        match self {
-            TuningSource::Pinned => "pinned",
-            TuningSource::Autotuned => "autotuned",
-        }
-    }
-}
-
-/// The process-wide kernel tuning: performance knobs only (see the
-/// [module docs](self) for the determinism contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tuning {
-    /// Rows per encode/score chunk in the batched scoring pipelines.
-    pub score_chunk: usize,
-    /// Worker threads for the parallel fan-out paths.
-    pub threads: usize,
-    /// How this tuning was chosen.
-    pub source: TuningSource,
-}
-
-static TUNING: OnceLock<Tuning> = OnceLock::new();
-
-/// Parses one `HDC_NO_AUTOTUNE` value: `1`/`true` pin the defaults,
-/// `0`/`false`/empty leave autotuning on. Anything else is rejected, like
-/// the other `HDC_*` variables — a typo must not silently enable the
-/// behavior it tried to disable.
-///
-/// # Errors
-///
-/// Returns [`crate::LinalgError::InvalidEnv`] for unrecognized values.
-pub fn parse_no_autotune_value(value: &str) -> crate::Result<bool> {
-    let v = value.trim();
-    if v == "1" || v.eq_ignore_ascii_case("true") {
-        Ok(true)
-    } else if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false") {
-        Ok(false)
-    } else {
-        Err(crate::LinalgError::InvalidEnv {
-            var: NO_AUTOTUNE_ENV_VAR,
-            value: value.to_string(),
-            expected: "1, 0, true, or false",
-        })
-    }
-}
-
-/// Reads and validates `HDC_NO_AUTOTUNE` from the environment.
-///
-/// # Errors
-///
-/// As [`parse_no_autotune_value`]; unset resolves to `false`.
-pub fn no_autotune_from_env() -> crate::Result<bool> {
-    match std::env::var(NO_AUTOTUNE_ENV_VAR) {
-        Ok(v) => parse_no_autotune_value(&v),
-        Err(_) => Ok(false),
-    }
-}
-
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
-/// The fixed default tuning (`HDC_NO_AUTOTUNE=1`, and the fallback when
-/// timing is degenerate).
-pub fn pinned_tuning() -> Tuning {
-    Tuning {
-        score_chunk: DEFAULT_SCORE_CHUNK,
-        threads: hardware_threads(),
-        source: TuningSource::Pinned,
-    }
-}
-
-/// Deterministic pseudo-data fill for the timing workloads (no RNG state
-/// touched; the values only need to defeat trivial constant-folding).
-fn synthetic_matrix(rows: usize, cols: usize) -> Matrix {
-    let mut m = Matrix::zeros(rows, cols);
-    for r in 0..rows {
-        for (c, v) in m.row_mut(r).iter_mut().enumerate() {
-            *v = ((r * 31 + c * 7) % 17) as f32 * 0.11 - 0.8;
-        }
-    }
-    m
-}
-
-/// Times one encode-shaped GEMM (`chunk × F` times `F × D`) and returns the
-/// best-of-`reps` wall time in nanoseconds per row.
-fn time_chunk_width(chunk: usize, proj_t: &Matrix, reps: usize) -> f64 {
-    let x = synthetic_matrix(chunk, proj_t.rows());
-    let mut out = Matrix::zeros(chunk, proj_t.cols());
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        x.matmul_into(proj_t, &mut out);
-        let ns = start.elapsed().as_nanos() as f64 / chunk as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    // Keep the output observable so the multiply cannot be elided.
-    std::hint::black_box(out.row(0)[0]);
-    best
-}
-
-/// Times a row-independent scoring sweep fanned out over `threads` scoped
-/// workers; returns best-of-`reps` wall time in nanoseconds.
-fn time_thread_count(threads: usize, work: &Matrix, reps: usize) -> f64 {
-    let rows = work.rows();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let sums: Vec<f32> = if threads <= 1 {
-            (0..rows)
-                .map(|r| crate::kernels::dot(work.row(r), work.row(r)))
-                .collect()
-        } else {
-            let chunk = rows.div_ceil(threads);
-            let mut parts: Vec<Vec<f32>> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let start_row = (w * chunk).min(rows);
-                        let end_row = ((w + 1) * chunk).min(rows);
-                        scope.spawn(move || {
-                            (start_row..end_row)
-                                .map(|r| crate::kernels::dot(work.row(r), work.row(r)))
-                                .collect::<Vec<f32>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    parts.push(h.join().expect("autotune worker panicked"));
-                }
-            });
-            parts.into_iter().flatten().collect()
-        };
-        std::hint::black_box(sums.first().copied());
-        let ns = start.elapsed().as_nanos() as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
-/// Runs the timing pass (never consults the environment); exposed for
-/// tests and for benchmarks that want a fresh measurement.
-pub fn measure() -> Tuning {
-    // Encode-shaped workload: F=64 features into D=1024 dims, the shape
-    // class the scoring pipeline runs at (scaled down to keep the whole
-    // pass in the low milliseconds).
-    let proj_t = synthetic_matrix(64, 1024);
-    let mut best_chunk = DEFAULT_SCORE_CHUNK;
-    let mut best_ns = f64::INFINITY;
-    for &chunk in &SCORE_CHUNK_CANDIDATES {
-        let ns = time_chunk_width(chunk, &proj_t, 3);
-        if ns < best_ns {
-            best_ns = ns;
-            best_chunk = chunk;
-        }
-    }
-
-    let cap = hardware_threads();
-    let work = synthetic_matrix(512, 512);
-    let mut best_threads = 1usize;
-    let mut best_t_ns = f64::INFINITY;
-    let mut t = 1usize;
-    while t <= cap {
-        let ns = time_thread_count(t, &work, 3);
-        if ns < best_t_ns {
-            best_t_ns = ns;
-            best_threads = t;
-        }
-        t *= 2;
-    }
-
-    Tuning {
-        score_chunk: best_chunk,
-        threads: best_threads,
-        source: TuningSource::Autotuned,
-    }
-}
-
-/// The process-wide tuning, resolving it on first use: pinned defaults
-/// under `HDC_NO_AUTOTUNE=1`, otherwise one startup timing pass whose
-/// winner is cached for the rest of the process.
-///
-/// # Panics
-///
-/// Panics with a descriptive message when `HDC_NO_AUTOTUNE` holds a value
-/// [`parse_no_autotune_value`] rejects.
-pub fn tuning() -> Tuning {
-    *TUNING.get_or_init(|| {
-        let pinned = no_autotune_from_env().unwrap_or_else(|e| panic!("{e}"));
-        if pinned {
-            pinned_tuning()
-        } else {
-            measure()
-        }
-    })
-}
-
-/// The tuned score-chunk width (rows per encode/score chunk).
+/// The score-chunk width, [`SCORE_CHUNK`].
 pub fn score_chunk() -> usize {
-    tuning().score_chunk
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_no_autotune_accepts_flags_and_rejects_garbage() {
-        assert!(parse_no_autotune_value("1").unwrap());
-        assert!(parse_no_autotune_value("TRUE").unwrap());
-        assert!(!parse_no_autotune_value("0").unwrap());
-        assert!(!parse_no_autotune_value("").unwrap());
-        assert!(!parse_no_autotune_value("false").unwrap());
-        for garbage in ["yes", "2", "on", "off"] {
-            let err = parse_no_autotune_value(garbage).unwrap_err();
-            assert!(err.to_string().contains("HDC_NO_AUTOTUNE"), "{err}");
-        }
-    }
-
-    #[test]
-    fn pinned_tuning_uses_fixed_defaults() {
-        let t = pinned_tuning();
-        assert_eq!(t.score_chunk, DEFAULT_SCORE_CHUNK);
-        assert!(t.threads >= 1);
-        assert_eq!(t.source, TuningSource::Pinned);
-    }
-
-    #[test]
-    fn measure_picks_a_candidate() {
-        let t = measure();
-        assert!(SCORE_CHUNK_CANDIDATES.contains(&t.score_chunk));
-        assert!(t.threads >= 1 && t.threads <= 8);
-        assert_eq!(t.source, TuningSource::Autotuned);
-    }
-
-    #[test]
-    fn process_tuning_is_stable_across_calls() {
-        let a = tuning();
-        let b = tuning();
-        assert_eq!(a, b, "the cached tuning must not change mid-process");
-        assert_eq!(score_chunk(), a.score_chunk);
-    }
-
-    #[test]
-    fn source_tags_round_trip() {
-        for source in [TuningSource::Pinned, TuningSource::Autotuned] {
-            assert_eq!(TuningSource::from_tag(source.tag()), Some(source));
-            assert!(!source.name().is_empty());
-        }
-        assert_eq!(TuningSource::from_tag(9), None);
-    }
+    SCORE_CHUNK
 }

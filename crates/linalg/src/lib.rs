@@ -35,7 +35,6 @@ pub mod rng;
 pub mod share;
 pub mod stats;
 
-pub use autotune::{Tuning, TuningSource};
 pub use eig::{numerical_rank, singular_values, symmetric_eigenvalues};
 pub use error::{LinalgError, Result};
 pub use kernels::KernelLevel;

@@ -995,6 +995,9 @@ fn cmd_chaos(
 }
 
 fn run() -> Result<(), Box<dyn Error>> {
+    // Every command, not just `train`, reads these variables; a garbage
+    // value must be an error here rather than a panic at its first read.
+    boosthd::parallel::validate_runtime_env()?;
     baselines::spec::install();
     let args = parse_args().map_err(|e| -> Box<dyn Error> { e.into() })?;
     if args.command == "chaos" {

@@ -45,8 +45,13 @@ impl Drop for TempDir {
 }
 
 fn hdrun(args: &[&str]) -> Output {
+    hdrun_with_env(args, &[])
+}
+
+fn hdrun_with_env(args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hdrun"))
         .args(args)
+        .envs(env.iter().copied())
         .output()
         .expect("spawn hdrun")
 }
@@ -315,6 +320,37 @@ fn missing_and_wrong_paths_fail_descriptively() {
         garbage_model.to_str().unwrap(),
     ]);
     assert_fails_mentioning(&out, &["bad magic"]);
+}
+
+#[test]
+fn garbage_runtime_env_fails_descriptively_when_loading_a_model() {
+    let dir = TempDir::new("env");
+    let spec = tiny_model_spec(&dir);
+    let model = dir.file("model.bhde");
+    let out = hdrun(&[
+        "train",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--out",
+        model.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "train: {}", stderr_of(&out));
+
+    // `eval` never reaches `Pipeline::fit`, so only hdrun's own
+    // up-front check turns these values into an error.
+    for (var, value) in [("HDC_FORCE_SCALAR", "maybe"), ("HDC_THREADS", "abc")] {
+        let out = hdrun_with_env(
+            &[
+                "eval",
+                "--spec",
+                spec.to_str().unwrap(),
+                "--model",
+                model.to_str().unwrap(),
+            ],
+            &[(var, value)],
+        );
+        assert_fails_mentioning(&out, &["invalid configuration", var, value]);
+    }
 }
 
 #[test]
