@@ -5,8 +5,8 @@
 //! # The BHFS store file
 //!
 //! A store file is a flat sequence of 8-byte-aligned, self-delimiting,
-//! checksummed records followed by a footer index, so it can be read
-//! zero-copy and recovered after a torn write:
+//! checksummed records followed by a footer index, so it can be
+//! recovered after a torn write:
 //!
 //! ```text
 //! +--------------------------------------------------------------+
@@ -36,12 +36,13 @@
 //! +--------------------------------------------------------------+
 //! ```
 //!
-//! **Alignment invariant.** Every record starts on an 8-byte boundary
-//! and its payload heap starts on an 8-byte boundary *within* the
-//! record. A record read into a [`Blob`] (itself 8-aligned) therefore
-//! keeps every `f32`/`u64`/`i8` payload naturally aligned, and the
-//! decoder can hand out borrowed slices of the blob instead of
-//! deserializing — loading a model performs no per-array copies.
+//! **Alignment invariant.** Every record starts on an 8-byte boundary,
+//! its payload heap starts on an 8-byte boundary *within* the record,
+//! and every array offset inside the heap is a multiple of 8. This is a
+//! format invariant the reader checks: an offset that is unaligned or
+//! runs past the heap fails the load. Loading decodes each array out of
+//! the record bytes into an owned buffer, so a loaded model holds no
+//! reference to the file or the record.
 //!
 //! **Checksum invariant.** `meta_checksum`/`heap_checksum` are FNV-1a
 //! 64 over the exact stored bytes and are verified on every admission,
@@ -62,13 +63,12 @@
 //! one key form a degrade ladder (append order = tier order, most
 //! precise first) and are admitted, swapped, and evicted as a single
 //! [`FleetModel`] unit. Requests take an [`Arc`] snapshot, so an
-//! in-flight request keeps its model (and the blob behind it) alive
+//! in-flight request keeps its model alive
 //! across hot-swap and LRU eviction; a swapped-out version is tracked
 //! until the last snapshot drops ([`Fleet::draining_count`]).
 
 use crate::error::{BoostHdError, Result};
 use crate::pipeline::Pipeline;
-use linalg::Blob;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -307,8 +307,8 @@ impl ModelStore {
     }
 
     /// Loads every tier published under `(model_id, version)` as one
-    /// [`FleetModel`]. Each record is read into its own [`Blob`] and
-    /// decoded zero-copy; both checksums are verified first.
+    /// [`FleetModel`]. Each record's checksums are verified before its
+    /// arrays are decoded.
     pub fn load(&self, model_id: &str, version: u64) -> Result<FleetModel> {
         let entries: Vec<StoreEntry> = self
             .entries()
@@ -339,7 +339,7 @@ impl ModelStore {
         self.load(model_id, version)
     }
 
-    /// Reads one record into a fresh blob and decodes it zero-copy.
+    /// Reads one record, verifies its checksums and decodes it.
     pub fn load_record(&self, entry: &StoreEntry) -> Result<Pipeline> {
         if entry.total_len > MAX_RECORD_LEN {
             return Err(store_err(format!(
@@ -354,8 +354,7 @@ impl ModelStore {
                 .map_err(|e| io_err("seek", e))?;
             file.read_exact(&mut raw).map_err(|e| io_err("read", e))?;
         }
-        let blob = Arc::new(Blob::from_bytes(&raw));
-        decode_record(blob, entry.total_len)
+        decode_record(&raw, entry.total_len)
     }
 }
 
@@ -390,14 +389,13 @@ fn encode_record(model_id: &str, version: u64, structure: &[u8], heap: &[u8]) ->
     record
 }
 
-/// Parses + checksums a record blob and decodes its pipeline zero-copy.
-fn decode_record(blob: Arc<Blob>, total_len: u64) -> Result<Pipeline> {
-    let (meta_range, heap_off, heap_len) = validate_record(blob.as_bytes(), 0, total_len)?;
-    let bytes = blob.as_bytes();
-    let meta = &bytes[meta_range.0..meta_range.1];
+/// Parses + checksums the bytes of one record and decodes its pipeline.
+fn decode_record(raw: &[u8], total_len: u64) -> Result<Pipeline> {
+    let (meta_range, heap_off, heap_len) = validate_record(raw, 0, total_len)?;
+    let meta = &raw[meta_range.0..meta_range.1];
     let (_, _, structure_range) = parse_meta(meta, meta_range.0)?;
-    let structure = &bytes[structure_range.0..structure_range.1];
-    Pipeline::decode_store_parts(structure, Arc::clone(&blob), heap_off, heap_len)
+    let structure = &raw[structure_range.0..structure_range.1];
+    Pipeline::decode_store_parts(structure, &raw[heap_off..heap_off + heap_len])
 }
 
 /// Validates one record's header and checksums at `offset` inside
@@ -468,7 +466,7 @@ fn parse_meta(meta: &[u8], base: usize) -> Result<(String, u64, (usize, usize))>
     let id_len = read_u64(meta, 0, "record model_id length")? as usize;
     let id_end = 8usize
         .checked_add(id_len)
-        .filter(|&e| e + 16 <= meta.len())
+        .filter(|&e| e.checked_add(16).is_some_and(|end| end <= meta.len()))
         .ok_or_else(|| store_err("record meta truncated inside model_id"))?;
     let model_id = std::str::from_utf8(&meta[8..id_end])
         .map_err(|_| store_err("record model_id is not valid UTF-8"))?
@@ -476,7 +474,7 @@ fn parse_meta(meta: &[u8], base: usize) -> Result<(String, u64, (usize, usize))>
     let version = read_u64(meta, id_end, "record version")?;
     let structure_len = read_u64(meta, id_end + 8, "record structure length")? as usize;
     let structure_start = id_end + 16;
-    if structure_start + structure_len != meta.len() {
+    if structure_start.checked_add(structure_len) != Some(meta.len()) {
         return Err(store_err(
             "record meta has trailing bytes after the structure stream",
         ));
@@ -540,7 +538,10 @@ fn read_footer(file: &mut File, file_len: u64) -> Result<(Vec<StoreEntry>, u64)>
     }
     if index_off < HEADER_LEN
         || index_off % 8 != 0
-        || index_off + index_len + TRAILER_LEN != file_len
+        || index_off
+            .checked_add(index_len)
+            .and_then(|end| end.checked_add(TRAILER_LEN))
+            != Some(file_len)
     {
         return Err(store_err("footer geometry inconsistent"));
     }
@@ -562,7 +563,7 @@ fn read_footer(file: &mut File, file_len: u64) -> Result<(Vec<StoreEntry>, u64)>
         pos += 8;
         let id_end = pos
             .checked_add(id_len)
-            .filter(|&e| e + 24 <= index.len())
+            .filter(|&e| e.checked_add(24).is_some_and(|end| end <= index.len()))
             .ok_or_else(|| store_err("footer index truncated"))?;
         let model_id = std::str::from_utf8(&index[pos..id_end])
             .map_err(|_| store_err("footer index model_id is not valid UTF-8"))?
@@ -572,7 +573,11 @@ fn read_footer(file: &mut File, file_len: u64) -> Result<(Vec<StoreEntry>, u64)>
         let offset = read_u64(&index, pos + 8, "index offset")?;
         let total_len = read_u64(&index, pos + 16, "index total_len")?;
         pos += 24;
-        if offset % 8 != 0 || offset + total_len > index_off {
+        if offset % 8 != 0
+            || offset
+                .checked_add(total_len)
+                .is_none_or(|end| end > index_off)
+        {
             return Err(store_err("footer index entry out of bounds"));
         }
         entries.push(StoreEntry {
@@ -952,6 +957,85 @@ mod tests {
         recovered.load("b", 1).unwrap();
     }
 
+    /// A trailer whose offset and length sum past `u64::MAX` but wrap
+    /// round to the file length is rejected as inconsistent, and the
+    /// record scan recovers every entry.
+    #[test]
+    fn overflowing_footer_geometry_recovers_every_record_by_scan() {
+        let dir = tempdir("fleet-overflow-footer");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let store = ModelStore::create(&path).unwrap();
+        for id in ["a", "b", "c"] {
+            store.append(id, 1, &[&fit(48, &x, &y)]).unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        let file_len = bytes.len() as u64;
+        let trailer = (file_len - TRAILER_LEN) as usize;
+        bytes[trailer..trailer + 8].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+        bytes[trailer + 8..trailer + 16].copy_from_slice(&(file_len - 32).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let recovered = ModelStore::open(&path).unwrap();
+        let ids: Vec<_> = recovered
+            .entries()
+            .iter()
+            .map(|e| e.model_id.clone())
+            .collect();
+        assert_eq!(ids, vec!["a", "b", "c"]);
+        recovered.load("c", 1).unwrap();
+    }
+
+    /// Length fields that overflow `usize` arithmetic, behind checksums
+    /// recomputed to match, fail descriptively instead of panicking: a
+    /// footer index `id_len` falls back to the record scan, and a record
+    /// meta `id_len` fails that record's load.
+    #[test]
+    fn overflowing_id_lengths_behind_valid_checksums_fail_without_panic() {
+        let dir = tempdir("fleet-overflow-id-len");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let store = ModelStore::create(&path).unwrap();
+        for id in ["a", "b", "c"] {
+            store.append(id, 1, &[&fit(48, &x, &y)]).unwrap();
+        }
+        let clean = std::fs::read(&path).unwrap();
+        let patch = |bytes: &mut [u8], at: usize, v: u64| {
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        };
+        // Each id_len makes the id's end offset exactly `usize::MAX`: the
+        // index id starts at byte 16, the meta id at byte 8.
+
+        // The first index entry's id_len, with the index checksum redone.
+        let mut bytes = clean.clone();
+        let trailer = bytes.len() - TRAILER_LEN as usize;
+        let index_off = read_u64(&bytes, trailer, "index_off").unwrap() as usize;
+        patch(&mut bytes, index_off + 8, u64::MAX - 16);
+        let sum = fnv1a64(&bytes[index_off..trailer]);
+        patch(&mut bytes, trailer + 16, sum);
+        std::fs::write(&path, &bytes).unwrap();
+        let recovered = ModelStore::open(&path).unwrap();
+        let ids: Vec<_> = recovered
+            .entries()
+            .iter()
+            .map(|e| e.model_id.clone())
+            .collect();
+        assert_eq!(ids, vec!["a", "b", "c"]);
+
+        // Record c's meta id_len, with the meta checksum redone.
+        let mut bytes = clean;
+        let c = store.entries()[2].offset as usize;
+        let meta_len = read_u64(&bytes, c + 16, "meta_len").unwrap() as usize;
+        let meta = c + RECORD_HEADER_LEN as usize;
+        patch(&mut bytes, meta, u64::MAX - 8);
+        let sum = fnv1a64(&bytes[meta..meta + meta_len]);
+        patch(&mut bytes, c + 32, sum);
+        std::fs::write(&path, &bytes).unwrap();
+        let reopened = ModelStore::open(&path).unwrap();
+        reopened.load("a", 1).unwrap();
+        let err = reopened.load("c", 1).unwrap_err().to_string();
+        assert!(err.contains("model_id"), "unexpected error: {err}");
+    }
+
     #[test]
     fn torn_record_tail_is_dropped_and_prefix_survives() {
         let dir = tempdir("fleet-torn-record");
@@ -1071,11 +1155,10 @@ mod tests {
     }
 
     /// Every persistable payload kind — dense f32, packed u64, and int8
-    /// class matrices — must decode zero-copy out of the record blob and
-    /// predict bit-identically to the fitted original, probabilities
-    /// included.
+    /// class matrices — must decode out of its store record and predict
+    /// bit-identically to the fitted original, probabilities included.
     #[test]
-    fn all_payload_kinds_serve_zero_copy_and_bit_identical() {
+    fn all_payload_kinds_serve_bit_identical() {
         use crate::{BoostHdConfig, CentroidHdConfig};
         let specs = vec![
             ModelSpec::OnlineHd(OnlineHdConfig {
@@ -1137,23 +1220,15 @@ mod tests {
                 .encode_store_parts()
                 .unwrap_or_else(|e| panic!("{tag} failed to encode: {e}"));
             let record = encode_record(tag, 1, &structure, &heap);
-            let blob = Arc::new(Blob::from_bytes(&record));
             let total_len = (RECORD_HEADER_LEN
                 + align8(24 + tag.len() as u64 + structure.len() as u64))
                 + heap.len() as u64;
-            let loaded = decode_record(Arc::clone(&blob), total_len)
+            let loaded = decode_record(&record, total_len)
                 .unwrap_or_else(|e| panic!("{tag} failed to decode: {e}"));
-            // Zero-copy: the decoded pipeline borrows its payload slices
-            // straight out of the record blob, so the blob's refcount
-            // rose past the test's own handle.
-            assert!(
-                Arc::strong_count(&blob) > 1,
-                "{tag} copied its payloads instead of borrowing the blob"
-            );
             assert_eq!(
                 fitted.predict_batch_with_confidence(&x),
                 loaded.predict_batch_with_confidence(&x),
-                "{tag} predictions are not bit-identical after zero-copy load"
+                "{tag} predictions are not bit-identical after a store load"
             );
         }
     }

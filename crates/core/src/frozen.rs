@@ -10,8 +10,7 @@
 //!   ([`crate::quantized_i8::I8Rows`], widening integer dot) or packed
 //!   sign rows ([`hdc::backend::PackedMatrix`], XOR + popcount). It owns
 //!   scoring, freezing from trained rows, the refit row update, storage
-//!   bytes, bit-flip injection and its BHD1 array codec (zero-copy in
-//!   the fleet store).
+//!   bytes, bit-flip injection and its BHD1 array codec.
 //! * [`Single`] is one encoder plus one memory; [`Ensemble`] is one
 //!   shared encoder plus weak learners, each scoring a segment of the
 //!   encoding (or, in the full-dimension ablation, its private encoder's
@@ -96,8 +95,8 @@ pub trait ClassMemory: Clone + std::fmt::Debug + Send + Sync + 'static {
     /// Writes the memory's BHD1 array encoding.
     fn put(&self, w: &mut Writer);
 
-    /// Reads a memory written by [`ClassMemory::put`]; with a shared-mode
-    /// reader the bulk array stays a zero-copy view into the blob.
+    /// Reads a memory written by [`ClassMemory::put`] into owned buffers,
+    /// from an inline or a heap-mode reader alike.
     ///
     /// # Errors
     ///

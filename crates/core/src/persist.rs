@@ -21,9 +21,10 @@
 //! [`Writer::new_with_heap`]): every length-prefixed array body moves to a
 //! separate 8-byte-aligned payload heap and the structure stream records
 //! its heap offset instead. The fleet model store persists records in
-//! that split so the bulk payloads (f32 projections and class matrices,
-//! packed sign words, int8 grids) can be served zero-copy out of a loaded
-//! blob; plain `.bhd` file blobs always use the inline layout above.
+//! that split; plain `.bhd` file blobs always use the inline layout above.
+//! Either way the reader decodes every array into an owned buffer. Heap
+//! offsets are multiples of 8 (a format invariant the reader checks) and
+//! must lie inside the heap.
 //!
 //! Version history: **v1** stored only the dense-f32 models (kinds 1–2);
 //! **v2** adds the bitpacked inference models (kinds 3–4); **v3** adds the
@@ -99,8 +100,7 @@ use crate::quantized::{QuantizedBoostHd, QuantizedHd};
 use crate::quantized_i8::{QuantizedI8BoostHd, QuantizedI8Hd};
 use hdc::backend::PackedMatrix;
 use hdc::encoder::SinusoidEncoder;
-use linalg::{Blob, Matrix, SharedSlice, Storage};
-use std::sync::Arc;
+use linalg::Matrix;
 
 /// `"BHD1"` little-endian.
 const MAGIC: u32 = 0x3144_4842;
@@ -186,9 +186,7 @@ pub(crate) fn persist_err(reason: impl Into<String>) -> BoostHdError {
 /// * **heap** ([`Writer::new_with_heap`]) — every length-prefixed array
 ///   body is appended to a separate 8-byte-aligned *payload heap* and the
 ///   structure stream records its heap byte offset (`u64`) where the body
-///   would sit. The fleet model store uses this split: the structure
-///   stream is decoded normally while the bulk payloads are served
-///   zero-copy straight out of the loaded blob.
+///   would sit. The fleet model store persists records in this split.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -220,10 +218,9 @@ impl Writer {
         self.buf
     }
 
-    /// Finishes a heap-mode writer, returning `(structure, heap)`. The
-    /// heap half must land at an 8-byte-aligned offset of whatever record
-    /// it is embedded in, so the recorded array offsets stay aligned for
-    /// zero-copy reinterpretation.
+    /// Finishes a heap-mode writer, returning `(structure, heap)`. Every
+    /// array offset the structure records is a multiple of 8 within the
+    /// heap; [`Reader::new_with_heap`] rejects any other offset.
     pub fn into_parts(self) -> (Vec<u8>, Vec<u8>) {
         (self.buf, self.heap.unwrap_or_default())
     }
@@ -305,28 +302,17 @@ impl Writer {
     }
 }
 
-/// The payload heap a shared-mode [`Reader`] resolves array references
-/// against: a window of a reference-counted blob, kept alive by the
-/// decoded models' zero-copy views.
-#[derive(Debug)]
-struct HeapSource {
-    blob: Arc<Blob>,
-    base: usize,
-    len: usize,
-}
-
 /// Little-endian byte source with bounds checking.
 ///
-/// The shared-mode constructor ([`Reader::new_shared`]) decodes structure
-/// streams written by a heap-mode [`Writer`]: array reads resolve their
-/// `u64` heap offsets against a reference-counted blob and — for the bulk
-/// containers (matrices, packed words, int8 grids) — hand back zero-copy
-/// views borrowing the blob instead of copied allocations.
+/// The heap-mode constructor ([`Reader::new_with_heap`]) decodes structure
+/// streams written by a heap-mode [`Writer`]: each array read resolves its
+/// `u64` heap offset against the borrowed heap and decodes the body from
+/// there, exactly as an inline read decodes it in place.
 #[derive(Debug)]
 pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
-    heap: Option<HeapSource>,
+    heap: Option<&'a [u8]>,
 }
 
 impl<'a> Reader<'a> {
@@ -339,38 +325,14 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Wraps a structure stream plus the blob window holding its payload
-    /// heap. `heap_base` must be 8-byte aligned within the blob (the
-    /// store's record layout guarantees this), or every array view will
-    /// fail alignment validation.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the heap window exceeds the blob.
-    pub fn new_shared(
-        data: &'a [u8],
-        blob: Arc<Blob>,
-        heap_base: usize,
-        heap_len: usize,
-    ) -> Result<Self> {
-        if heap_base
-            .checked_add(heap_len)
-            .is_none_or(|end| end > blob.len())
-        {
-            return Err(persist_err(format!(
-                "payload heap {heap_base}+{heap_len} exceeds blob of {} bytes",
-                blob.len()
-            )));
-        }
-        Ok(Self {
+    /// Wraps a structure stream plus the payload heap its array offsets
+    /// point into (heap mode).
+    pub fn new_with_heap(data: &'a [u8], heap: &'a [u8]) -> Self {
+        Self {
             data,
             pos: 0,
-            heap: Some(HeapSource {
-                blob,
-                base: heap_base,
-                len: heap_len,
-            }),
-        })
+            heap: Some(heap),
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -401,20 +363,45 @@ impl<'a> Reader<'a> {
         self.take(bytes)
     }
 
-    /// Reads an array's heap offset and validates the referenced
-    /// `count × elem` byte range against the heap window.
-    fn heap_ref(&mut self, count: usize, elem: usize, what: &str) -> Result<usize> {
-        let heap_len = self.heap.as_ref().expect("shared-mode reader").len;
+    /// The `count × elem` body bytes of a counted array: read in place
+    /// (inline mode) or resolved through the heap offset the structure
+    /// stream records (heap mode).
+    fn body(&mut self, count: usize, elem: usize, what: &str) -> Result<&'a [u8]> {
+        match self.heap {
+            None => self.take_elems(count, elem, what),
+            Some(heap) => self.heap_ref(heap, count, elem, what),
+        }
+    }
+
+    /// Reads an array's heap offset and returns the referenced
+    /// `count × elem` bytes of `heap`. The offset must be a multiple of 8
+    /// (what the heap-mode [`Writer`] always records) and the range must
+    /// lie inside the heap.
+    fn heap_ref(
+        &mut self,
+        heap: &'a [u8],
+        count: usize,
+        elem: usize,
+        what: &str,
+    ) -> Result<&'a [u8]> {
         let off = self.get_len()?;
+        if !off.is_multiple_of(8) {
+            return Err(persist_err(format!(
+                "{what} heap offset {off} is not 8-byte aligned"
+            )));
+        }
         let bytes = count
             .checked_mul(elem)
             .ok_or_else(|| persist_err(format!("{what} length {count} overflows")))?;
-        if off.checked_add(bytes).is_none_or(|end| end > heap_len) {
-            return Err(persist_err(format!(
-                "{what} payload at {off}+{bytes} exceeds heap of {heap_len} bytes"
-            )));
-        }
-        Ok(off)
+        off.checked_add(bytes)
+            .filter(|&end| end <= heap.len())
+            .map(|end| &heap[off..end])
+            .ok_or_else(|| {
+                persist_err(format!(
+                    "{what} payload at {off}+{bytes} exceeds heap of {} bytes",
+                    heap.len()
+                ))
+            })
     }
 
     /// Reads a `u8`.
@@ -491,13 +478,6 @@ impl<'a> Reader<'a> {
         self.take_elems(len, 1, what)
     }
 
-    /// Bytes `start..start + len` of the heap window (pre-validated by
-    /// [`Reader::heap_ref`]).
-    fn heap_bytes(&self, off: usize, bytes: usize) -> &[u8] {
-        let heap = self.heap.as_ref().expect("shared-mode reader");
-        &heap.blob.as_bytes()[heap.base + off..heap.base + off + bytes]
-    }
-
     fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
         bytes
             .chunks_exact(4)
@@ -505,21 +485,14 @@ impl<'a> Reader<'a> {
             .collect()
     }
 
-    /// Reads a length-prefixed `f32` vector (copied out of the heap in
-    /// shared mode — the small vectors this decodes, biases and scales,
-    /// are not worth a view).
+    /// Reads a length-prefixed `f32` vector.
     ///
     /// # Errors
     ///
     /// Fails on truncated input or an out-of-range length prefix.
     pub fn get_f32_vec(&mut self) -> Result<Vec<f32>> {
         let len = self.get_len()?;
-        if self.heap.is_some() {
-            let off = self.heap_ref(len, 4, "f32 vector")?;
-            Ok(Self::decode_f32s(self.heap_bytes(off, len * 4)))
-        } else {
-            Ok(Self::decode_f32s(self.take_elems(len, 4, "f32 vector")?))
-        }
+        Ok(Self::decode_f32s(self.body(len, 4, "f32 vector")?))
     }
 
     /// Reads a length-prefixed `i8` vector (v4+).
@@ -528,23 +501,12 @@ impl<'a> Reader<'a> {
     ///
     /// Fails on truncated input or an out-of-range length prefix.
     pub fn get_i8_vec(&mut self) -> Result<Vec<i8>> {
-        Ok(self.get_i8_storage()?.into_vec())
-    }
-
-    /// [`Reader::get_i8_vec`], but in shared mode the bytes stay a
-    /// zero-copy view into the blob instead of being copied out.
-    pub(crate) fn get_i8_storage(&mut self) -> Result<Storage<i8>> {
         let len = self.get_len()?;
-        if self.heap.is_some() {
-            let off = self.heap_ref(len, 1, "i8 vector")?;
-            let heap = self.heap.as_ref().expect("shared-mode reader");
-            let view = SharedSlice::<i8>::new(Arc::clone(&heap.blob), heap.base + off, len)
-                .map_err(|e| persist_err(e.to_string()))?;
-            Ok(Storage::shared(view))
-        } else {
-            let bytes = self.take_elems(len, 1, "i8 vector")?;
-            Ok(bytes.iter().map(|&b| b as i8).collect::<Vec<_>>().into())
-        }
+        Ok(self
+            .body(len, 1, "i8 vector")?
+            .iter()
+            .map(|&b| b as i8)
+            .collect())
     }
 
     /// Reads a length-prefixed `u64` vector.
@@ -554,20 +516,14 @@ impl<'a> Reader<'a> {
     /// Fails on truncated input or an out-of-range length prefix.
     pub fn get_u64_vec(&mut self) -> Result<Vec<u64>> {
         let len = self.get_len()?;
-        let bytes = if self.heap.is_some() {
-            let off = self.heap_ref(len, 8, "u64 vector")?;
-            self.heap_bytes(off, len * 8)
-        } else {
-            self.take_elems(len, 8, "u64 vector")?
-        };
-        Ok(bytes
+        Ok(self
+            .body(len, 8, "u64 vector")?
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect())
     }
 
-    /// Reads a shape-prefixed bitpacked matrix — a zero-copy view into
-    /// the blob in shared mode.
+    /// Reads a shape-prefixed bitpacked matrix.
     ///
     /// # Errors
     ///
@@ -575,24 +531,11 @@ impl<'a> Reader<'a> {
     pub fn get_packed_matrix(&mut self) -> Result<PackedMatrix> {
         let rows = self.get_len()?;
         let dim = self.get_len()?;
-        if self.heap.is_some() {
-            let len = self.get_len()?;
-            let off = self.heap_ref(len, 8, "packed matrix")?;
-            let heap = self.heap.as_ref().expect("shared-mode reader");
-            let m = PackedMatrix::from_shared(Arc::clone(&heap.blob), heap.base + off, rows, dim)
-                .map_err(|e| persist_err(e.to_string()))?;
-            if m.as_words().len() != len {
-                return Err(persist_err("packed matrix word count disagrees with shape"));
-            }
-            Ok(m)
-        } else {
-            let words = self.get_u64_vec()?;
-            PackedMatrix::from_parts(words, rows, dim).map_err(|e| persist_err(e.to_string()))
-        }
+        let words = self.get_u64_vec()?;
+        PackedMatrix::from_parts(words, rows, dim).map_err(|e| persist_err(e.to_string()))
     }
 
-    /// Reads a shape-prefixed matrix — a zero-copy view into the blob in
-    /// shared mode.
+    /// Reads a shape-prefixed matrix.
     ///
     /// # Errors
     ///
@@ -600,18 +543,16 @@ impl<'a> Reader<'a> {
     pub fn get_matrix(&mut self) -> Result<Matrix> {
         let rows = self.get_len()?;
         let cols = self.get_len()?;
+        self.matrix_body(rows, cols, "matrix")
+    }
+
+    /// The `rows × cols` body of a matrix whose shape was already read.
+    fn matrix_body(&mut self, rows: usize, cols: usize, what: &str) -> Result<Matrix> {
         let n = rows
             .checked_mul(cols)
-            .ok_or_else(|| persist_err("matrix shape overflows"))?;
-        if self.heap.is_some() {
-            let off = self.heap_ref(n, 4, "matrix")?;
-            let heap = self.heap.as_ref().expect("shared-mode reader");
-            Matrix::from_shared(Arc::clone(&heap.blob), heap.base + off, rows, cols)
-                .map_err(|e| persist_err(e.to_string()))
-        } else {
-            let data = Self::decode_f32s(self.take_elems(n, 4, "matrix")?);
-            Matrix::from_vec(rows, cols, data).map_err(|e| persist_err(e.to_string()))
-        }
+            .ok_or_else(|| persist_err(format!("{what} shape overflows")))?;
+        let data = Self::decode_f32s(self.body(n, 4, what)?);
+        Matrix::from_vec(rows, cols, data).map_err(|e| persist_err(e.to_string()))
     }
 
     /// Whether every byte has been consumed.
@@ -694,8 +635,7 @@ pub(crate) fn check_header(r: &mut Reader<'_>, payload: PayloadKind) -> Result<u
 pub(crate) fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
     if w.has_heap() {
         // Heap mode persists the F×D transpose the encoder actually holds,
-        // so a shared read borrows the projection out of the blob with no
-        // transpose pass (and no allocation).
+        // so a heap read decodes the projection with no transpose pass.
         w.put_u64(STORED_T_SENTINEL);
         w.put_matrix(enc.projection_t());
     } else {
@@ -727,11 +667,7 @@ pub(crate) fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEnc
     // the v1-layout matrix in place.
     let rows = usize::try_from(rows).map_err(|_| persist_err("length overflows usize"))?;
     let cols = r.get_len()?;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or_else(|| persist_err("matrix shape overflows"))?;
-    let data = Reader::decode_f32s(r.take_elems(n, 4, "projection matrix")?);
-    let projection = Matrix::from_vec(rows, cols, data).map_err(|e| persist_err(e.to_string()))?;
+    let projection = r.matrix_body(rows, cols, "projection matrix")?;
     let bias = r.get_f32_vec()?;
     SinusoidEncoder::from_parts(projection, bias).map_err(BoostHdError::from)
 }
@@ -813,7 +749,7 @@ impl OnlineHd {
     }
 
     /// Decodes a full model blob from `r` — the body shared by
-    /// [`OnlineHd::from_bytes`] and the fleet store's shared-mode reads
+    /// [`OnlineHd::from_bytes`] and the fleet store's heap-mode reads
     /// (exhaustion is the caller's check).
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
         let version = check_header(r, PayloadKind::OnlineHd)?;
@@ -1313,7 +1249,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_mode_primitives_round_trip_with_zero_copy_views() {
+    fn heap_mode_primitives_round_trip() {
         let mut rng = Rng64::seed_from(9);
         let m = Matrix::random_normal(4, 6, &mut rng);
         // dim = 128 → two words per row, no padding bits to invalidate.
@@ -1326,23 +1262,18 @@ mod tests {
         w.put_matrix(&m);
         w.put_packed_matrix(&packed);
         let (structure, heap) = w.into_parts();
-        let blob = Arc::new(Blob::from_bytes(&heap));
-        let mut r = Reader::new_shared(&structure, blob, 0, heap.len()).unwrap();
+        let mut r = Reader::new_with_heap(&structure, &heap);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_f32_vec().unwrap(), vec![1.5, -2.5, 3.5]);
         assert_eq!(r.get_i8_vec().unwrap(), vec![-3, 0, 5]);
         assert_eq!(r.get_u64_vec().unwrap(), vec![10, 20]);
-        let m2 = r.get_matrix().unwrap();
-        assert_eq!(m2, m);
-        assert!(m2.is_shared(), "matrix must borrow the blob");
-        let p2 = r.get_packed_matrix().unwrap();
-        assert_eq!(p2.as_words(), packed.as_words());
-        assert!(p2.is_shared(), "packed words must borrow the blob");
+        assert_eq!(r.get_matrix().unwrap(), m);
+        assert_eq!(r.get_packed_matrix().unwrap(), packed);
         assert!(r.is_exhausted());
     }
 
     #[test]
-    fn heap_mode_model_round_trip_is_bit_identical_and_zero_copy() {
+    fn heap_mode_model_round_trip_is_bit_identical() {
         let (x, y) = toy();
         let config = OnlineHdConfig {
             dim: 96,
@@ -1353,17 +1284,14 @@ mod tests {
         let mut w = Writer::new_with_heap();
         model.encode_into(&mut w);
         let (structure, heap) = w.into_parts();
-        let blob = Arc::new(Blob::from_bytes(&heap));
-        let mut r = Reader::new_shared(&structure, blob, 0, heap.len()).unwrap();
+        let mut r = Reader::new_with_heap(&structure, &heap);
         let restored = OnlineHd::decode_from(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(model.scores_batch(&x), restored.scores_batch(&x));
-        assert!(restored.class_hypervectors().is_shared());
-        assert!(restored.encoder().projection_t().is_shared());
     }
 
     #[test]
-    fn heap_mode_i8_round_trip_is_bit_identical_and_zero_copy() {
+    fn heap_mode_i8_round_trip_is_bit_identical() {
         let (x, y) = toy();
         let config = OnlineHdConfig {
             dim: 96,
@@ -1374,15 +1302,47 @@ mod tests {
         let mut w = Writer::new_with_heap();
         model.encode_into(&mut w);
         let (structure, heap) = w.into_parts();
-        let blob = Arc::new(Blob::from_bytes(&heap));
-        let mut r = Reader::new_shared(&structure, blob, 0, heap.len()).unwrap();
+        let mut r = Reader::new_with_heap(&structure, &heap);
         let restored = QuantizedI8Hd::decode_from(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(model.scores_batch(&x), restored.scores_batch(&x));
-        assert!(
-            restored.classes().is_shared(),
-            "int8 class grid must borrow the blob"
-        );
+    }
+
+    #[test]
+    fn heap_offsets_that_are_unaligned_or_past_the_heap_are_rejected() {
+        let heap = [0u8; 16];
+        let stream = |words: &[u64]| {
+            let mut w = Writer::new();
+            words.iter().for_each(|&v| w.put_u64(v));
+            w.into_bytes()
+        };
+        let reject = |result: Result<()>, what: &str, needle: &str| match result {
+            Err(BoostHdError::DataMismatch { reason }) => {
+                assert!(reason.contains(needle), "{what}: {reason}")
+            }
+            other => panic!("{what}: expected a DataMismatch, got {other:?}"),
+        };
+        // rows 1, cols 1, heap offset 4: in range but not 8-byte aligned.
+        let s = stream(&[1, 1, 4]);
+        let got = Reader::new_with_heap(&s, &heap).get_matrix().map(drop);
+        reject(got, "matrix at offset 4", "not 8-byte aligned");
+        // rows 1, dim 128, 2 words at offset 8: runs past the heap's end.
+        let s = stream(&[1, 128, 2, 8]);
+        let got = Reader::new_with_heap(&s, &heap)
+            .get_packed_matrix()
+            .map(drop);
+        reject(got, "packed matrix past the heap", "exceeds heap");
+        // len 1 at offset 3.
+        let s = stream(&[1, 3]);
+        let got = Reader::new_with_heap(&s, &heap).get_f32_vec().map(drop);
+        reject(got, "f32 vector at offset 3", "not 8-byte aligned");
+        // The same reads at aligned, in-range offsets decode.
+        let s = stream(&[1, 1, 8]);
+        assert!(Reader::new_with_heap(&s, &heap).get_matrix().is_ok());
+        let s = stream(&[1, 128, 2, 0]);
+        assert!(Reader::new_with_heap(&s, &heap).get_packed_matrix().is_ok());
+        let s = stream(&[1, 8]);
+        assert!(Reader::new_with_heap(&s, &heap).get_f32_vec().is_ok());
     }
 
     #[test]

@@ -56,8 +56,7 @@ use crate::online::OnlineHd;
 use crate::persist::{format_of, Reader, Writer, FORMATS};
 use crate::spec::{BaselineSpec, ModelSpec};
 use faults::BitflipReport;
-use linalg::{Blob, Matrix, Rng64};
-use std::sync::Arc;
+use linalg::{Matrix, Rng64};
 
 fn pipeline_err(reason: impl Into<String>) -> BoostHdError {
     BoostHdError::DataMismatch {
@@ -164,7 +163,7 @@ pub trait Model: Classifier + Send + Sync {
 
     /// Writes the model's full blob through `w` — with a heap-mode writer
     /// this is the fleet store's record body, splitting bulk arrays into
-    /// the zero-copy payload heap.
+    /// the payload heap.
     ///
     /// # Errors
     ///
@@ -650,7 +649,7 @@ impl Pipeline {
     /// while every bulk array (projections, class matrices, packed words,
     /// int8 grids) lands in the 8-byte-aligned payload heap at an offset
     /// the structure stream records. [`Pipeline::decode_store_parts`]
-    /// then serves those arrays zero-copy out of the loaded record blob.
+    /// decodes them back into owned buffers.
     ///
     /// # Errors
     ///
@@ -667,23 +666,17 @@ impl Pipeline {
     }
 
     /// Rebuilds a pipeline from a fleet-store record: `structure` is the
-    /// stream [`Pipeline::encode_store_parts`] produced and
-    /// `blob[heap_base..heap_base + heap_len]` its payload heap. The
-    /// decoded model's bulk arrays stay zero-copy views into `blob` (kept
-    /// alive by reference counting) until something mutates them.
+    /// stream [`Pipeline::encode_store_parts`] produced and `heap` its
+    /// payload heap. Every array is decoded into an owned buffer, so the
+    /// pipeline keeps no reference to the record bytes.
     ///
     /// # Errors
     ///
     /// Returns [`BoostHdError::DataMismatch`] for truncated or corrupt
     /// records, and [`BoostHdError::InvalidConfig`] when the embedded
     /// spec disagrees with the payload kind.
-    pub(crate) fn decode_store_parts(
-        structure: &[u8],
-        blob: Arc<Blob>,
-        heap_base: usize,
-        heap_len: usize,
-    ) -> Result<Self> {
-        let mut r = Reader::new_shared(structure, blob, heap_base, heap_len)?;
+    pub(crate) fn decode_store_parts(structure: &[u8], heap: &[u8]) -> Result<Self> {
+        let mut r = Reader::new_with_heap(structure, heap);
         let kind = PayloadKind::from_tag(r.get_u8()?)?;
         let abstain_threshold = r.get_f32()?;
         let spec = read_spec(&mut r, kind, "store record")?;

@@ -54,7 +54,7 @@ use crate::CentroidHd;
 use faults::{BitflipReport, PerturbableI8};
 use linalg::kernels::dot_i8;
 use linalg::matrix::norm;
-use linalg::{Matrix, Rng64, Storage};
+use linalg::{Matrix, Rng64};
 use serde::{Deserialize, Serialize};
 
 /// Symmetric per-row quantizer: fills `out` with
@@ -83,24 +83,16 @@ pub(crate) fn quantize_row_into(src: &[f32], out: &mut Vec<i8>) -> f32 {
 /// approximation (see the [module docs](self)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct I8Rows {
-    data: Storage<i8>,
+    data: Vec<i8>,
     scales: Vec<f32>,
     inv_qnorms: Vec<f32>,
     cols: usize,
 }
 
 impl I8Rows {
-    /// [`I8Rows::from_storage`] over an owned byte vector.
-    #[cfg(test)]
-    pub(crate) fn from_parts(data: Vec<i8>, scales: Vec<f32>, cols: usize) -> Result<Self> {
-        Self::from_storage(data.into(), scales, cols)
-    }
-
     /// Reassembles rows from stored parts, re-deriving the inverse norms
     /// from the bytes; fails unless `data` is `scales.len() × cols`.
-    /// `data` may be a zero-copy view borrowed from a model-store blob; it
-    /// stays borrowed until the first in-place mutation promotes it.
-    pub(crate) fn from_storage(data: Storage<i8>, scales: Vec<f32>, cols: usize) -> Result<Self> {
+    pub(crate) fn from_parts(data: Vec<i8>, scales: Vec<f32>, cols: usize) -> Result<Self> {
         if cols == 0 || data.len() != scales.len() * cols {
             return Err(BoostHdError::DataMismatch {
                 reason: format!(
@@ -119,12 +111,6 @@ impl I8Rows {
         };
         rows.refresh_inv_qnorms();
         Ok(rows)
-    }
-
-    /// Whether the byte grid is a zero-copy view into a model-store blob.
-    #[cfg(test)]
-    pub(crate) fn is_shared(&self) -> bool {
-        self.data.is_shared()
     }
 
     #[cfg(test)]
@@ -183,7 +169,7 @@ impl ClassMemory for I8Rows {
     fn from_dense(classes: &Matrix) -> Self {
         let (rows, cols) = (classes.rows(), classes.cols());
         let mut frozen = Self {
-            data: vec![0; rows * cols].into(),
+            data: vec![0; rows * cols],
             scales: vec![0.0; rows],
             inv_qnorms: vec![0.0; rows],
             cols,
@@ -212,7 +198,7 @@ impl ClassMemory for I8Rows {
     fn set_row(&mut self, r: usize, src: &[f32], qbuf: &mut Vec<i8>) {
         self.scales[r] = quantize_row_into(src, qbuf);
         let cols = self.cols;
-        let row = &mut self.data.make_mut()[r * cols..(r + 1) * cols];
+        let row = &mut self.data[r * cols..(r + 1) * cols];
         row.copy_from_slice(qbuf);
         self.inv_qnorms[r] = inv_qnorm(row);
     }
@@ -243,22 +229,19 @@ impl ClassMemory for I8Rows {
         let rows = r.get_len()?;
         let cols = r.get_len()?;
         let scales = r.get_f32_vec()?;
-        let data = r.get_i8_storage()?;
+        let data = r.get_i8_vec()?;
         if scales.len() != rows {
             return Err(BoostHdError::DataMismatch {
                 reason: "int8 scale count disagrees with row count".into(),
             });
         }
-        I8Rows::from_storage(data, scales, cols)
+        I8Rows::from_parts(data, scales, cols)
     }
 }
 
 impl PerturbableI8 for Stores<'_, I8Rows> {
     fn i8_buffers_mut(&mut self) -> Vec<&mut [i8]> {
-        self.0
-            .iter_mut()
-            .map(|m| m.data.make_mut().as_mut_slice())
-            .collect()
+        self.0.iter_mut().map(|m| m.data.as_mut_slice()).collect()
     }
 }
 

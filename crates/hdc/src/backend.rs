@@ -21,9 +21,7 @@
 
 use crate::error::{HdcError, Result};
 use crate::ops;
-use linalg::share::{Blob, SharedSlice, Storage};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A sign-quantized hypervector: `D` sign bits in `⌈D/64⌉` little-endian
 /// `u64` words (bit `d` of word `d/64` set ⇔ component `d` is `+1`).
@@ -119,7 +117,7 @@ impl PackedHv {
 /// buffer (cache-friendly across classes and weak learners).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PackedMatrix {
-    words: Storage<u64>,
+    words: Vec<u64>,
     words_per_row: usize,
     rows: usize,
     dim: usize,
@@ -135,7 +133,7 @@ impl PackedMatrix {
             words.extend_from_slice(&ops::pack_signs(m.row(r)));
         }
         Self {
-            words: words.into(),
+            words,
             words_per_row,
             rows: m.rows(),
             dim,
@@ -161,7 +159,7 @@ impl PackedMatrix {
             words.extend_from_slice(row.words());
         }
         Ok(Self {
-            words: words.into(),
+            words,
             words_per_row,
             rows: rows.len(),
             dim,
@@ -196,63 +194,11 @@ impl PackedMatrix {
             }
         }
         Ok(Self {
-            words: words.into(),
+            words,
             words_per_row,
             rows,
             dim,
         })
-    }
-
-    /// Reassembles a packed matrix whose words are **borrowed** out of an
-    /// 8-aligned [`Blob`] (the zero-copy model-store path); `byte_offset`
-    /// must be 8-aligned. Padding bits are validated exactly as in
-    /// [`PackedMatrix::from_parts`]. The matrix stays shared until the
-    /// first mutation, which promotes it to an owned copy.
-    ///
-    /// # Errors
-    ///
-    /// As [`PackedMatrix::from_parts`], plus [`HdcError::InvalidConfig`]
-    /// for an out-of-bounds or misaligned view.
-    pub fn from_shared(
-        blob: Arc<Blob>,
-        byte_offset: usize,
-        rows: usize,
-        dim: usize,
-    ) -> Result<Self> {
-        let words_per_row = ops::packed_words(dim);
-        let n_words = words_per_row
-            .checked_mul(rows)
-            .ok_or_else(|| HdcError::InvalidConfig {
-                reason: "packed matrix shape overflows".into(),
-            })?;
-        let view = SharedSlice::<u64>::new(blob, byte_offset, n_words).map_err(|e| {
-            HdcError::InvalidConfig {
-                reason: e.to_string(),
-            }
-        })?;
-        let words = view.as_slice();
-        let mask = ops::last_word_mask(dim);
-        if words_per_row > 0 {
-            for r in 0..rows {
-                if words[(r + 1) * words_per_row - 1] & !mask != 0 {
-                    return Err(HdcError::InvalidConfig {
-                        reason: format!("packed matrix row {r} has padding bits set"),
-                    });
-                }
-            }
-        }
-        Ok(Self {
-            words: Storage::shared(view),
-            words_per_row,
-            rows,
-            dim,
-        })
-    }
-
-    /// Whether the word buffer is still borrowed from a shared blob. See
-    /// [`PackedMatrix::from_shared`].
-    pub fn is_shared(&self) -> bool {
-        self.words.is_shared()
     }
 
     /// Number of stored hypervectors.

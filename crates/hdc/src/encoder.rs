@@ -239,10 +239,9 @@ impl SinusoidEncoder {
 
     /// Reassembles an encoder directly from the `F × D` **transposed**
     /// projection — the orientation the encoder holds in memory and the
-    /// only one either encode path reads. This is the zero-copy
-    /// model-store path: the store persists `projection_t` verbatim so a
-    /// loaded encoder can borrow it out of the blob without the
-    /// materialize-and-transpose round trip of
+    /// only one either encode path reads. This is the model-store path:
+    /// the store persists `projection_t` verbatim so a loaded encoder
+    /// skips the materialize-and-transpose round trip of
     /// [`SinusoidEncoder::from_parts`]. Outputs are bit-identical to an
     /// encoder rebuilt through `from_parts` on the untransposed matrix
     /// (transposition is a pure element permutation).
@@ -268,7 +267,7 @@ impl SinusoidEncoder {
     }
 
     /// Borrows the stored `F × D` transposed projection: the persistence
-    /// orientation for the zero-copy store (see
+    /// orientation of the model store (see
     /// [`SinusoidEncoder::from_parts_transposed`]).
     pub fn projection_t(&self) -> &Matrix {
         &self.projection_t

@@ -47,12 +47,6 @@ pub enum LinalgError {
         /// Operation name for diagnostics.
         op: &'static str,
     },
-    /// A zero-copy shared view could not be constructed over a blob
-    /// (range out of bounds or misaligned offset).
-    SharedView {
-        /// What went wrong.
-        reason: String,
-    },
     /// An environment variable consulted by the runtime kernel dispatch
     /// held an unparseable value.
     InvalidEnv {
@@ -80,7 +74,6 @@ impl fmt::Display for LinalgError {
                 write!(f, "{solver} did not converge after {iterations} iterations")
             }
             LinalgError::Empty { op } => write!(f, "empty matrix passed to {op}"),
-            LinalgError::SharedView { reason } => write!(f, "invalid shared view: {reason}"),
             LinalgError::InvalidEnv {
                 var,
                 value,

@@ -593,8 +593,15 @@ mod avx2 {
     /// Core FMA dot: four 8-lane accumulators over 32-element blocks, an
     /// 8-lane cleanup loop, then a scalar-FMA tail. Also the per-row body
     /// of [`row_dots`], so fused and standalone dots agree bit-for-bit.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `a.len() == b.len()`, which
+    /// the public wrapper asserts: the loads read both slices up to
+    /// `a.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
+        debug_assert_eq!(a.len(), b.len());
         let n = a.len();
         let pa = a.as_ptr();
         let pb = b.as_ptr();
@@ -635,8 +642,16 @@ mod avx2 {
         total
     }
 
+    /// `y += a · x`, eight lanes at a time with a scalar-FMA tail.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `y.len() == x.len()`,
+    /// which the public wrapper asserts: the loads read `x` up to
+    /// `y.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn axpy(y: &mut [f32], x: &[f32], a: f32) {
+        debug_assert_eq!(y.len(), x.len());
         let n = y.len();
         let py = y.as_mut_ptr();
         let px = x.as_ptr();
@@ -664,6 +679,12 @@ mod avx2 {
         }
     }
 
+    /// `v /= divisor`, eight lanes at a time with a scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA. There is no length relation:
+    /// every access stays inside `v`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn div_by(v: &mut [f32], divisor: f32) {
         let n = v.len();
@@ -682,8 +703,16 @@ mod avx2 {
 
     /// One pass of per-row dots with the query streamed once per row block;
     /// each row uses the same accumulator layout as [`dot`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `q.len() == m.cols()`
+    /// and `out.len() == m.rows()`, which the public wrapper asserts:
+    /// each row's [`dot`] reads `q` up to `m.cols()`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn row_dots(m: &Matrix, q: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(q.len(), m.cols());
+        debug_assert_eq!(out.len(), m.rows());
         for (l, o) in out.iter_mut().enumerate() {
             *o = dot(m.row(l), q);
         }
@@ -695,8 +724,15 @@ mod avx2 {
     /// `_mm256_madd_epi16` against ones widens the pairs to `i32` lanes.
     /// Integer addition is order-free, so the lane sum matches the scalar
     /// reference exactly.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `a.len() == b.len()`, which
+    /// the public wrapper asserts: the loads read both slices up to
+    /// `a.len()`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
+        debug_assert_eq!(a.len(), b.len());
         let n = a.len();
         let pa = a.as_ptr();
         let pb = b.as_ptr();
@@ -727,8 +763,15 @@ mod avx2 {
     /// `round_ties_even` reference), saturating `i32→i16→i8` packs, then a
     /// permute to undo the per-128-bit-lane pack interleave and a
     /// `max_epi8(-127)` so saturation can never emit `-128`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `src.len() == out.len()`, which
+    /// the public wrapper asserts: the stores write `out` up to
+    /// `src.len()`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn quantize_scale_i8(src: &[f32], inv: f32, out: &mut [i8]) {
+        debug_assert_eq!(src.len(), out.len());
         let n = src.len();
         let ps = src.as_ptr();
         let po = out.as_mut_ptr();
@@ -799,8 +842,15 @@ mod avx2 {
     /// bit-planes per iteration, so only one vector popcount per 32 words
     /// runs in the main loop; leftovers popcount directly and the final
     /// planes unwind with their weights.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `a.len() == b.len()`, which
+    /// the public wrapper asserts: the loads read both slices up to
+    /// `a.len()`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn hamming(a: &[u64], b: &[u64]) -> u32 {
+        debug_assert_eq!(a.len(), b.len());
         let n = a.len();
         let pa = a.as_ptr();
         let pb = b.as_ptr();

@@ -32,7 +32,6 @@ pub mod error;
 pub mod kernels;
 pub mod matrix;
 pub mod rng;
-pub mod share;
 pub mod stats;
 
 pub use eig::{numerical_rank, singular_values, symmetric_eigenvalues};
@@ -40,4 +39,3 @@ pub use error::{LinalgError, Result};
 pub use kernels::KernelLevel;
 pub use matrix::Matrix;
 pub use rng::Rng64;
-pub use share::{Blob, SharedSlice, Storage};

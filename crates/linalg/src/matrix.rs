@@ -2,9 +2,7 @@
 
 use crate::error::{LinalgError, Result};
 use crate::rng::Rng64;
-use crate::share::{Blob, SharedSlice, Storage};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -26,7 +24,7 @@ use std::sync::Arc;
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Storage<f32>,
+    data: Vec<f32>,
 }
 
 /// Row-block edge of the cache-blocked multiply: the number of output rows
@@ -50,7 +48,7 @@ impl Matrix {
         Self {
             rows,
             cols,
-            data: vec![0.0; rows * cols].into(),
+            data: vec![0.0; rows * cols],
         }
     }
 
@@ -59,7 +57,7 @@ impl Matrix {
         Self {
             rows,
             cols,
-            data: vec![value; rows * cols].into(),
+            data: vec![value; rows * cols],
         }
     }
 
@@ -85,45 +83,7 @@ impl Matrix {
                 rhs: (data.len(), 1),
             });
         }
-        Ok(Self {
-            rows,
-            cols,
-            data: data.into(),
-        })
-    }
-
-    /// Creates a matrix whose data is **borrowed** out of an 8-aligned
-    /// [`Blob`] — the zero-copy model-store path. `byte_offset` must be a
-    /// multiple of 4 relative to the blob base; the view covers
-    /// `rows × cols` little-endian `f32` values. The matrix stays
-    /// read-only-shared until the first mutation, which promotes it to an
-    /// owned copy (copy-on-write), so every in-place API keeps working.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::SharedView`] if the range leaves the blob or
-    /// the offset is misaligned.
-    pub fn from_shared(
-        blob: Arc<Blob>,
-        byte_offset: usize,
-        rows: usize,
-        cols: usize,
-    ) -> Result<Self> {
-        let len = rows.checked_mul(cols).ok_or(LinalgError::SharedView {
-            reason: "matrix shape overflows".into(),
-        })?;
-        let view = SharedSlice::<f32>::new(blob, byte_offset, len)?;
-        Ok(Self {
-            rows,
-            cols,
-            data: Storage::shared(view),
-        })
-    }
-
-    /// Whether the data is still borrowed from a shared blob (no mutation
-    /// has promoted it to an owned copy). See [`Matrix::from_shared`].
-    pub fn is_shared(&self) -> bool {
-        self.data.is_shared()
+        Ok(Self { rows, cols, data })
     }
 
     /// Creates a matrix from a slice of equal-length rows.
@@ -151,7 +111,7 @@ impl Matrix {
         Ok(Self {
             rows: rows.len(),
             cols,
-            data: data.into(),
+            data,
         })
     }
 
@@ -161,21 +121,13 @@ impl Matrix {
     /// as the HDC projection.
     pub fn random_normal(rows: usize, cols: usize, rng: &mut Rng64) -> Self {
         let data: Vec<f32> = (0..rows * cols).map(|_| rng.normal()).collect();
-        Self {
-            rows,
-            cols,
-            data: data.into(),
-        }
+        Self { rows, cols, data }
     }
 
     /// Creates a matrix whose entries are i.i.d. uniform in `[lo, hi)`.
     pub fn random_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut Rng64) -> Self {
         let data: Vec<f32> = (0..rows * cols).map(|_| rng.uniform_in(lo, hi)).collect();
-        Self {
-            rows,
-            cols,
-            data: data.into(),
-        }
+        Self { rows, cols, data }
     }
 
     /// Number of rows.
@@ -208,10 +160,9 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the flat row-major buffer (copying
-    /// out of the blob for a shared matrix).
+    /// Consumes the matrix, returning the flat row-major buffer.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data.into_vec()
+        self.data
     }
 
     /// Borrows row `r` as a slice.
@@ -315,9 +266,7 @@ impl Matrix {
         Matrix {
             rows: end - start,
             cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols]
-                .to_vec()
-                .into(),
+            data: self.data[start * self.cols..end * self.cols].to_vec(),
         }
     }
 
@@ -495,9 +444,8 @@ impl Matrix {
     pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        let data = self.data.make_mut();
-        data.clear();
-        data.resize(rows * cols, 0.0);
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Matrix–vector product `self · v`.
@@ -526,7 +474,7 @@ impl Matrix {
 
     /// Element-wise in-place map.
     pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for x in self.data.make_mut().iter_mut() {
+        for x in self.data.iter_mut() {
             *x = f(*x);
         }
     }
@@ -620,11 +568,7 @@ impl Matrix {
         for p in parts {
             data.extend_from_slice(&p.data);
         }
-        Ok(Matrix {
-            rows,
-            cols,
-            data: data.into(),
-        })
+        Ok(Matrix { rows, cols, data })
     }
 
     /// Iterates over rows as slices.
