@@ -701,8 +701,24 @@ struct FleetState {
     resident: HashMap<String, ResidentModel>,
     clock: u64,
     /// Swapped-out or evicted models still referenced by in-flight
-    /// requests; pruned lazily.
+    /// requests; pruned whenever the Vec is full (see
+    /// [`FleetState::retire`]).
     retiring: Vec<Weak<FleetModel>>,
+}
+
+impl FleetState {
+    /// Tracks a swapped-out or evicted snapshot until its last in-flight
+    /// reference drops. When the Vec is full, dead entries are pruned
+    /// first and room is kept for as many pushes as there are live
+    /// entries, so the prune is amortized O(1) and the Vec stays within
+    /// twice the peak number of live snapshots (and at least 4).
+    fn retire(&mut self, model: &Arc<FleetModel>) {
+        if self.retiring.len() == self.retiring.capacity() {
+            self.retiring.retain(|w| w.strong_count() > 0);
+            self.retiring.reserve(self.retiring.len().max(4));
+        }
+        self.retiring.push(Arc::downgrade(model));
+    }
 }
 
 /// In-memory registry over a [`ModelStore`]: LRU residency with
@@ -826,7 +842,7 @@ impl Fleet {
             Some(r) => {
                 let old = std::mem::replace(&mut r.model, Arc::clone(&loaded));
                 r.last_used = now;
-                st.retiring.push(Arc::downgrade(&old));
+                st.retire(&old);
                 loaded
             }
             None => {
@@ -859,7 +875,7 @@ impl Fleet {
             match victim {
                 Some(id) => {
                     if let Some(r) = st.resident.remove(&id) {
-                        st.retiring.push(Arc::downgrade(&r.model));
+                        st.retire(&r.model);
                     }
                 }
                 // Everything is pinned; residency stays above the cap.
@@ -1152,6 +1168,33 @@ mod tests {
         let again = fleet.refresh("m").unwrap();
         assert_eq!(again.version(), 2);
         assert!(Arc::ptr_eq(&again, &v2));
+    }
+
+    /// Evictions and swaps whose snapshots are already dropped must not
+    /// accumulate: the retiring list stays bounded however long the
+    /// registry serves, without anyone calling `draining_count`.
+    #[test]
+    fn retiring_list_stays_bounded_under_constant_eviction() {
+        let dir = tempdir("fleet-retiring");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let store = ModelStore::create(&path).unwrap();
+        store.append("a", 1, &[&fit(32, &x, &y)]).unwrap();
+        store.append("b", 1, &[&fit(32, &x, &y)]).unwrap();
+        let fleet = Fleet::new(store, FleetConfig { max_resident: 1 });
+        let held = fleet.get("a").unwrap();
+        for i in 0..2_000 {
+            fleet.get(if i % 2 == 0 { "b" } else { "a" }).unwrap();
+        }
+        let retiring = fleet.state.lock().unwrap().retiring.len();
+        assert!(
+            retiring <= 8,
+            "{retiring} retiring entries after 2,000 evictions"
+        );
+        // Pruning keeps live snapshots: the held one is still draining.
+        assert_eq!(fleet.draining_count(), 1);
+        drop(held);
+        assert_eq!(fleet.draining_count(), 0);
     }
 
     /// Every persistable payload kind — dense f32, packed u64, and int8

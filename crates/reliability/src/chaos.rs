@@ -378,7 +378,7 @@ impl Driver {
                 Some(Reply::Predict {
                     id, class, tier, ..
                 }) => {
-                    assert_eq!(id, pending.id, "replies are per-connection ordered");
+                    assert_eq!(id, pending.id, "each chaos connection carries one request");
                     self.ok += 1;
                     self.latencies_ms
                         .push((complete_tick - pending.admit_tick) * TICK_MS);

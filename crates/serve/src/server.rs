@@ -1,28 +1,47 @@
-//! The TCP serving front-end: connection handlers feeding one micro-batch
-//! queue over the persistent worker pool, hardened for adverse conditions.
+//! The TCP serving front-end: pipelined connections feeding one
+//! micro-batch queue over the persistent worker pool, hardened for adverse
+//! conditions.
 //!
 //! Architecture (one box per thread kind):
 //!
 //! ```text
-//!  clients ──► accept thread ──► handler thread per connection
+//!  clients ──► accept thread ──► per connection: reader thread
 //!                                   │  parse frame (wire.rs)
 //!                                   │  validate feature count
+//!                                   │  admit without waiting for replies
 //!                                   ▼
 //!                        admission-controlled batch queue
 //!                       (queue_depth bound: shed or block)
 //!                                   ▼
-//!                  batcher thread: size/deadline micro-batching
-//!                (max_batch / max_wait — the EngineConfig policy)
-//!                     │ deadline sweep · degrade controller
+//!              batcher thread: work-conserving micro-batching
+//!          (takes up to max_batch queued rows as soon as it is idle)
+//!        │ deadline sweep · degrade controller · fleet snapshot resolve
 //!                                   ▼
 //!            Pipeline::predict_batch_with_confidence_chunked
 //!          (fan-out on the persistent boosthd::pool, on the tier
 //!              the degrade ladder currently points at)
 //!                                   ▼
-//!              per-request reply channels ──► handler writes
+//!         per connection: writer thread (replies in completion order)
 //!
 //!  watchdog thread: pool repair · flush-stall detection · model checksum
 //! ```
+//!
+//! **Pipelining.** A connection's reader admits every frame as it
+//! arrives; it never waits for a reply. Every reply of the connection —
+//! predictions, errors, control-command acknowledgements — goes through
+//! one channel to the connection's writer, the only thread that writes
+//! its socket. Replies therefore arrive in *completion* order, and
+//! clients match them to requests by `id`. A reader stops reading once
+//! its connection has [`ServerTuning::queue_depth`] replies not yet
+//! written, so a client that sends without reading is held back by TCP
+//! backpressure instead of growing server memory. A connection closes
+//! only after it has written a reply for every frame it admitted.
+//!
+//! **Flush policy.** The batcher is work-conserving: as soon as it is
+//! free it takes whatever is queued, up to [`EngineConfig::max_batch`]
+//! rows. Requests that arrive during a flush form the next one, so batch
+//! size follows load. [`EngineConfig::max_wait`] does not delay server
+//! flushes (the in-process [`crate::InferenceEngine`] still applies it).
 //!
 //! **Admission control.** Each predict request is admitted to the batch
 //! queue only while the queue holds fewer than
@@ -77,18 +96,22 @@
 //! **Graceful drain.** A shutdown — wire `{"cmd":"shutdown"}` or
 //! [`Server::request_shutdown`] — stops the accept loop and admission of
 //! *new* work, while the batcher flushes every admitted request and every
-//! handler writes every pending reply before sockets close: zero in-flight
-//! requests are dropped (pinned by an integration test). The drain is
-//! *bounded* by [`ServerTuning::drain_deadline_ms`]: a wedged batcher or
-//! connection past the deadline is force-aborted (queued requests answer
-//! an `internal` error, sockets close both halves, `aborted_drains` is
-//! counted) instead of hanging the caller forever.
+//! writer writes every pending reply before its socket closes: zero
+//! in-flight requests are dropped (pinned by an integration test). The
+//! drain is *bounded* by [`ServerTuning::drain_deadline_ms`]: a wedged
+//! batcher past the deadline is force-aborted (queued requests answer an
+//! `internal` error, writers stop waiting and close both halves,
+//! `aborted_drains` is counted) instead of hanging the caller forever.
 //!
 //! **Model fleet.** [`Server::bind_with_fleet`] attaches a
 //! [`boosthd::fleet::Fleet`] registry: predict frames carrying `"model"`
-//! pin an `Arc` snapshot of the named model at admission and are flushed
-//! in per-snapshot groups (never mixing models or versions in one
-//! scoring batch); replies echo the model and serving version. Hot-swap
+//! are resolved by the batcher, which pins one `Arc` snapshot per named
+//! model when it composes a flush and scores per-snapshot groups (never
+//! mixing models or versions in one scoring batch); replies echo the
+//! model and serving version. Groups are answered in the order of their
+//! first request and flushes are composed one after another, so a
+//! model's version never goes backwards on a connection. Every fleet
+//! load and decode runs on the one long-lived batcher thread. Hot-swap
 //! = append a new version to the store + [`Fleet::refresh`]; LRU
 //! eviction under memory pressure re-admits transparently on the next
 //! request.
@@ -96,12 +119,12 @@
 //! **Fault containment.** Protocol errors answer a descriptive error frame
 //! carrying a stable [`crate::wire::ErrorCode`] tag and never touch other
 //! connections; a worker-pool panic is isolated and the worker replaced
-//! ([`boosthd::pool`]); a handler that dies with requests in flight only
-//! discards its own replies (the batcher's sends to a dropped channel are
-//! ignored).
+//! ([`boosthd::pool`]); a connection that dies with requests in flight
+//! only discards its own replies (the batcher's sends to a closed writer
+//! are ignored).
 
-use std::collections::VecDeque;
-use std::io::Write;
+use std::collections::{HashMap, VecDeque};
+use std::io::{BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -192,7 +215,8 @@ impl Default for DegradeConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerTuning {
     /// Maximum pending (admitted, un-flushed) predict requests before
-    /// admission control engages.
+    /// admission control engages. Also the most replies one connection
+    /// may have waiting to be written before its reader stops reading.
     pub queue_depth: usize,
     /// Reaction once `queue_depth` is reached.
     pub backpressure: Backpressure,
@@ -373,29 +397,86 @@ impl AtomicStats {
 /// split's fitted normalizer), so clients send raw window features.
 pub type RowPrep = dyn Fn(Vec<f32>) -> Vec<f32> + Send + Sync;
 
-/// How the batcher resolved one admitted request.
-enum BatchOutcome {
-    /// Scored on the named ladder tier.
+/// One reply on its way to its connection's writer thread.
+enum Outbound {
+    /// A control-command acknowledgement, rendered by the reader.
+    Frame(String),
+    /// A scored predict request.
     Predicted {
+        id: u64,
         prediction: Prediction,
         tier: &'static str,
         /// `(model_id, version)` when a fleet model served the request.
         fleet: Option<(String, u64)>,
     },
-    /// Queue age exceeded the request deadline before a flush reached it.
-    DeadlineExceeded { waited_ms: u64 },
+    /// A coded error; `id` when the failing frame carried one.
+    Error {
+        id: Option<u64>,
+        code: ErrorCode,
+        message: String,
+    },
+}
+
+/// The way back to one admitted request's connection. Dropping it
+/// unanswered (a force-aborted drain discarding the queue, or a batcher
+/// that panicked mid-flush) still answers `internal`, so no admitted
+/// request goes silent.
+struct ReplyTo {
+    id: u64,
+    tx: Option<mpsc::Sender<Outbound>>,
+}
+
+impl ReplyTo {
+    fn predicted(
+        mut self,
+        prediction: Prediction,
+        tier: &'static str,
+        fleet: Option<(String, u64)>,
+    ) {
+        let id = self.id;
+        self.send(Outbound::Predicted {
+            id,
+            prediction,
+            tier,
+            fleet,
+        });
+    }
+
+    fn error(mut self, code: ErrorCode, message: String) {
+        let id = Some(self.id);
+        self.send(Outbound::Error { id, code, message });
+    }
+
+    fn send(&mut self, reply: Outbound) {
+        // A send error means the connection is gone; the reply is
+        // simply discarded.
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send(reply);
+        }
+    }
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        let id = Some(self.id);
+        self.send(Outbound::Error {
+            id,
+            code: ErrorCode::Internal,
+            message: "internal error: the request was dropped unanswered".into(),
+        });
+    }
 }
 
 struct PendingRequest {
     row: Vec<f32>,
-    reply: mpsc::Sender<BatchOutcome>,
     admitted: Instant,
     deadline: Option<Duration>,
-    /// The fleet snapshot pinned at admission (`None`: the default
-    /// model). Holding the `Arc` here is what makes hot-swap safe: a
-    /// swap or eviction between admission and flush cannot invalidate
-    /// this request's model.
-    fleet_model: Option<Arc<FleetModel>>,
+    /// The fleet model the frame names (`None`: the default model). The
+    /// batcher resolves it to an `Arc` snapshot when it composes the
+    /// flush; holding that `Arc` through the flush is what makes
+    /// hot-swap and eviction safe.
+    model: Option<String>,
+    reply: ReplyTo,
 }
 
 /// One rung of the quantization ladder: the live model plus everything
@@ -449,9 +530,9 @@ struct Inner {
     /// The pinned canary window (empty when canaries are disabled).
     canary: Option<Matrix>,
     queue: Mutex<VecDeque<PendingRequest>>,
-    /// Batcher waits here for work; handlers signal on enqueue.
+    /// Batcher waits here for work; readers signal on enqueue.
     work_ready: Condvar,
-    /// Blocked handlers ([`Backpressure::Block`]) wait here for space.
+    /// Blocked readers ([`Backpressure::Block`]) wait here for space.
     space_ready: Condvar,
     stats: AtomicStats,
     shutting_down: AtomicBool,
@@ -467,8 +548,15 @@ struct Inner {
     /// `wait()` blocks on this pair until someone requests shutdown.
     shutdown_requested: (Mutex<bool>, Condvar),
     addr: SocketAddr,
-    /// Live connection streams, so drain can unblock parked readers.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Live connections by accept order: a stream handle (so drain can
+    /// unblock parked readers) and the connection's thread. A connection
+    /// removes its own entry when its reader and writer have finished.
+    conns: Mutex<HashMap<u64, Connection>>,
+}
+
+struct Connection {
+    stream: TcpStream,
+    thread: JoinHandle<()>,
 }
 
 impl Inner {
@@ -695,7 +783,6 @@ pub struct Server {
     accept_thread: Option<JoinHandle<()>>,
     batcher_thread: Option<JoinHandle<()>>,
     watchdog_thread: Option<JoinHandle<()>>,
-    handler_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     joined: bool,
 }
 
@@ -710,10 +797,11 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7878`, or port `0` for an ephemeral
-    /// port) and starts the accept, handler, batcher, and watchdog
-    /// threads. With [`DegradeConfig::enabled`] the quantized ladder
-    /// siblings are built here, and every tier's envelope bytes, checksum,
-    /// and canary expectations are pinned for the runtime self-checks.
+    /// port) and starts the accept, batcher, and watchdog threads (each
+    /// accepted connection gets its own reader and writer). With
+    /// [`DegradeConfig::enabled`] the quantized ladder siblings are built
+    /// here, and every tier's envelope bytes, checksum, and canary
+    /// expectations are pinned for the runtime self-checks.
     ///
     /// `expected_features` is the feature-vector length every predict
     /// request must carry; `prep` optionally maps each admitted raw row
@@ -734,11 +822,12 @@ impl Server {
 
     /// [`Server::bind`] with a model-fleet registry attached: predict
     /// frames carrying `"model"` are routed through `fleet`
-    /// ([`boosthd::fleet::Fleet`]) — each request pins an `Arc` snapshot
-    /// of the named model at admission, flushes are partitioned per
-    /// snapshot (no batch ever mixes models or versions), and replies
-    /// echo the model and the version that served them. Frames without
-    /// `"model"` serve on `pipeline` exactly as [`Server::bind`].
+    /// ([`boosthd::fleet::Fleet`]) — the batcher pins an `Arc` snapshot
+    /// of each named model when it composes a flush, flushes are
+    /// partitioned per snapshot (no batch ever mixes models or versions),
+    /// and replies echo the model and the version that served them.
+    /// Frames without `"model"` serve on `pipeline` exactly as
+    /// [`Server::bind`].
     ///
     /// The caller keeps its own `Arc<Fleet>` handle: appending a new
     /// version to the store and calling [`Fleet::refresh`] hot-swaps the
@@ -811,16 +900,13 @@ impl Server {
             flush_started: Mutex::new(None),
             shutdown_requested: (Mutex::new(false), Condvar::new()),
             addr: local,
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
         });
 
-        let handler_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
         let accept_inner = Arc::clone(&inner);
-        let accept_handlers = Arc::clone(&handler_threads);
         let accept_thread = std::thread::Builder::new()
             .name("hdc-serve-accept".into())
-            .spawn(move || accept_loop(listener, accept_inner, accept_handlers))
+            .spawn(move || accept_loop(listener, accept_inner))
             .expect("spawn accept thread");
 
         let batch_inner = Arc::clone(&inner);
@@ -851,7 +937,6 @@ impl Server {
             accept_thread: Some(accept_thread),
             batcher_thread: Some(batcher_thread),
             watchdog_thread,
-            handler_threads,
             joined: false,
         })
     }
@@ -972,8 +1057,8 @@ impl Server {
         } else {
             // The drain deadline fired with the batcher wedged (a stalled
             // flush, or a chaos pause never released): force-abort. Queued
-            // requests resolve by dropping their reply senders; handlers
-            // answer an `internal` error and exit.
+            // requests answer `internal` as they drop; writers stop
+            // waiting for replies a wedged flush still holds.
             self.inner
                 .stats
                 .aborted_drains
@@ -995,17 +1080,17 @@ impl Server {
                 let _ = self.batcher_thread.take();
             }
         }
-        // 3. Handlers: the batcher has resolved every admitted request,
-        // but handlers may still be writing those replies out. Shut down
-        // only the READ half of each connection: parked readers wake with
-        // EOF and exit, while the write half stays open so every pending
-        // reply still reaches its client.
-        for stream in lock(&self.inner.conns).iter() {
-            let _ = stream.shutdown(Shutdown::Read);
+        // 3. Connections: the batcher has resolved every admitted
+        // request, but writers may still be writing those replies out.
+        // Shut down only the READ half of each connection: parked readers
+        // wake with EOF and exit, while the write half stays open so every
+        // pending reply still reaches its client.
+        let live: Vec<Connection> = lock(&self.inner.conns).drain().map(|(_, c)| c).collect();
+        for conn in &live {
+            let _ = conn.stream.shutdown(Shutdown::Read);
         }
-        let handlers: Vec<JoinHandle<()>> = lock(&self.handler_threads).drain(..).collect();
-        for h in handlers {
-            let _ = h.join();
+        for conn in live {
+            let _ = conn.thread.join();
         }
         // 4. The watchdog wakes within its own period and sees the flag.
         if let Some(h) = self.watchdog_thread.take() {
@@ -1040,129 +1125,161 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    inner: Arc<Inner>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
+    let mut next_id = 0u64;
     for stream in listener.incoming() {
         if inner.is_shutting_down() {
             break; // the drain wake-up connection lands here
         }
         let Ok(stream) = stream else { continue };
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
         inner.stats.connections.fetch_add(1, Ordering::Relaxed);
         stream.set_nodelay(true).ok();
         let timeout_ms = inner.config.tuning.read_timeout_ms;
         if timeout_ms > 0 {
             // Slow-loris guards: a peer stalling mid-frame, or refusing to
             // drain its replies, gets disconnected instead of pinning this
-            // handler forever. (Idle BETWEEN frames stays legal: read_frame
-            // swallows timeouts while its buffer is empty.)
+            // connection forever. (Idle BETWEEN frames stays legal:
+            // read_frame swallows timeouts while its buffer is empty.)
             let t = Duration::from_millis(timeout_ms);
             stream.set_read_timeout(Some(t)).ok();
             stream.set_write_timeout(Some(t)).ok();
         }
-        if let Ok(clone) = stream.try_clone() {
-            lock(&inner.conns).push(clone);
-        }
+        let id = next_id;
+        next_id += 1;
         let conn_inner = Arc::clone(&inner);
-        let handle = std::thread::Builder::new()
+        // The registry lock is held across the spawn, so the thread's own
+        // removal of its entry always comes after the insert below.
+        let mut conns = lock(&inner.conns);
+        let thread = std::thread::Builder::new()
             .name("hdc-serve-conn".into())
-            .spawn(move || handle_connection(stream, conn_inner))
+            .spawn(move || {
+                handle_connection(stream, &conn_inner);
+                // Dropping the entry closes the last handle on the socket
+                // and detaches this (finishing) thread.
+                lock(&conn_inner.conns).remove(&id);
+            })
             .expect("spawn connection handler");
-        lock(&handlers).push(handle);
+        conns.insert(
+            id,
+            Connection {
+                stream: handle,
+                thread,
+            },
+        );
     }
 }
 
-/// One connection: read frames, answer in request order.
-fn handle_connection(stream: TcpStream, inner: Arc<Inner>) {
-    let mut reader = std::io::BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let max_frame = inner.config.tuning.max_frame_bytes;
+/// What a connection's reader and writer share: the count of replies
+/// handed to the writer and not yet written.
+#[derive(Default)]
+struct ConnState {
+    /// `(unwritten replies, writer gone)`.
+    backlog: Mutex<(usize, bool)>,
+    /// Signalled whenever the writer writes replies or exits.
+    written: Condvar,
+}
 
+impl ConnState {
+    /// Reserves room for one more reply, waiting while `limit` replies
+    /// are unwritten. `false` once the writer is gone.
+    fn reserve(&self, limit: usize) -> bool {
+        let mut backlog = lock(&self.backlog);
+        while backlog.0 >= limit && !backlog.1 {
+            backlog = self
+                .written
+                .wait(backlog)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        backlog.0 += 1;
+        !backlog.1
+    }
+
+    /// Releases `n` written replies; `closed` marks the writer gone.
+    fn release(&self, n: usize, closed: bool) {
+        let mut backlog = lock(&self.backlog);
+        backlog.0 = backlog.0.saturating_sub(n);
+        backlog.1 |= closed;
+        self.written.notify_all();
+    }
+}
+
+/// How long a writer waits for a reply before checking whether a
+/// force-aborted drain gave up on the batcher.
+const ABORT_POLL: Duration = Duration::from_millis(100);
+
+/// One connection: this thread reads and admits frames while a scoped
+/// writer thread sends the replies in completion order. Returns once the
+/// writer has written a reply for every frame the reader took in and
+/// closed the socket.
+fn handle_connection(stream: TcpStream, inner: &Inner) {
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let conn = ConnState::default();
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let spawned = std::thread::Builder::new()
+            .name("hdc-serve-write".into())
+            .spawn_scoped(scope, || write_replies(&stream, rx, &conn, inner));
+        if spawned.is_ok() {
+            read_frames(read_half, &tx, &conn, inner);
+        }
+        // Dropping the reader's sender lets the writer finish once every
+        // admitted request has answered.
+        drop(tx);
+    });
+}
+
+/// The reader half: parses frames and admits predicts without waiting for
+/// their replies. Returns when the connection should stop reading.
+fn read_frames(read_half: TcpStream, tx: &mpsc::Sender<Outbound>, conn: &ConnState, inner: &Inner) {
+    let mut reader = std::io::BufReader::new(read_half);
+    let max_frame = inner.config.tuning.max_frame_bytes;
+    let limit = inner.config.tuning.queue_depth.max(1);
+    // Every reply takes a slot first, so at most `limit` sit unwritten.
+    let reply = |out: Outbound| conn.reserve(limit) && tx.send(out).is_ok();
+    let error = |id: Option<u64>, code: ErrorCode, message: String| {
+        reply(Outbound::Error { id, code, message })
+    };
     loop {
         let frame = match read_frame(&mut reader, max_frame) {
             Ok(Some(frame)) => frame,
             Ok(None) => return, // clean close
             Err(e @ WireError::FrameTooLarge { .. }) => {
                 // Framing is lost: report and close.
-                inner.stats.count_error(ErrorCode::Oversized);
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    error_response(None, ErrorCode::Oversized, &e.to_string())
-                );
-                let _ = writer.shutdown(Shutdown::Both);
-                return;
-            }
-            Err(e @ WireError::Stalled) => {
-                // Slow-loris: mid-frame stall past the read timeout.
-                inner.stats.count_error(ErrorCode::BadFrame);
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    error_response(None, ErrorCode::BadFrame, &e.to_string())
-                );
-                let _ = writer.shutdown(Shutdown::Both);
+                error(None, ErrorCode::Oversized, e.to_string());
                 return;
             }
             Err(WireError::Io(_)) => return, // mid-stream disconnect
             Err(e) => {
-                // Mid-frame EOF / non-UTF-8: answer if the socket is still
+                // A mid-frame stall (slow-loris), mid-frame EOF or
+                // non-UTF-8 bytes: answer if the socket is still
                 // writable, then close (the stream state is unknown).
-                inner.stats.count_error(ErrorCode::BadFrame);
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    error_response(None, ErrorCode::BadFrame, &e.to_string())
-                );
+                error(None, ErrorCode::BadFrame, e.to_string());
                 return;
             }
         };
-        match Request::parse(&frame) {
-            Err(e) => {
-                // Parse errors keep the connection: framing is intact.
-                inner.stats.count_error(ErrorCode::BadFrame);
-                if writeln!(
-                    writer,
-                    "{}",
-                    error_response(None, ErrorCode::BadFrame, &e.to_string())
-                )
-                .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(Request::Ping) => {
-                if writeln!(writer, "{}", ok_response("pong")).is_err() {
-                    return;
-                }
-            }
-            Ok(Request::Stats) => {
-                let frame = stats_frame(&inner);
-                if writeln!(writer, "{frame}").is_err() {
-                    return;
-                }
-            }
+        let keep_reading = match Request::parse(&frame) {
+            // Parse errors keep the connection: framing is intact.
+            Err(e) => error(None, ErrorCode::BadFrame, e.to_string()),
+            Ok(Request::Ping) => reply(Outbound::Frame(ok_response("pong"))),
+            Ok(Request::Stats) => reply(Outbound::Frame(stats_frame(inner))),
             Ok(Request::Health) => {
                 let report = inner.health_check();
-                let frame = format!(
+                reply(Outbound::Frame(format!(
                     "{{\"ok\":\"health\",\"status\":\"{}\",\"tier\":\"{}\",\"canary_ok\":{},\"checksum_ok\":{},\"reloaded\":{}}}",
                     escape_json(&report.status),
                     escape_json(&report.tier),
                     report.canary_ok,
                     report.checksum_ok,
                     report.reloaded,
-                );
-                if writeln!(writer, "{frame}").is_err() {
-                    return;
-                }
+                )))
             }
             Ok(Request::Shutdown) => {
-                let _ = writeln!(writer, "{}", ok_response("shutdown"));
+                reply(Outbound::Frame(ok_response("shutdown")));
                 inner.request_shutdown();
                 return;
             }
@@ -1172,9 +1289,90 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) {
                 deadline_ms,
                 model,
             }) => {
-                if !answer_predict(&inner, &mut writer, id, features, deadline_ms, model) {
+                if !conn.reserve(limit) {
                     return;
                 }
+                admit_predict(inner, tx, id, features, deadline_ms, model)
+            }
+        };
+        if !keep_reading {
+            return;
+        }
+    }
+}
+
+/// The writer half: renders and writes every reply of the connection, in
+/// the order they complete, batching whatever is ready into one socket
+/// write. Exits once every sender (the reader and each admitted request)
+/// is gone, then closes the socket.
+fn write_replies(
+    stream: &TcpStream,
+    rx: mpsc::Receiver<Outbound>,
+    conn: &ConnState,
+    inner: &Inner,
+) {
+    let mut out = BufWriter::new(stream);
+    let mut healthy = true;
+    loop {
+        let first = match rx.recv_timeout(ABORT_POLL) {
+            Ok(reply) => reply,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                if inner.force_abort.load(Ordering::SeqCst) {
+                    // A wedged flush may hold this connection's requests
+                    // forever; stop waiting for them.
+                    break;
+                }
+                continue;
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        };
+        let mut written = 0;
+        let mut next = Some(first);
+        while let Some(reply) = next {
+            let frame = render(inner, reply);
+            if healthy {
+                healthy = writeln!(out, "{frame}").is_ok();
+            }
+            written += 1;
+            next = rx.try_recv().ok();
+        }
+        healthy = healthy && out.flush().is_ok();
+        if !healthy {
+            // Unwritable (peer gone, or a write timeout on a peer that
+            // stopped reading): wake the reader so it stops too. Replies
+            // still in flight are rendered and discarded.
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        conn.release(written, !healthy);
+    }
+    conn.release(0, true);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Renders one reply frame and counts it.
+fn render(inner: &Inner, reply: Outbound) -> String {
+    match reply {
+        Outbound::Frame(frame) => frame,
+        Outbound::Predicted {
+            id,
+            prediction,
+            tier,
+            fleet,
+        } => {
+            inner.stats.answered.fetch_add(1, Ordering::Relaxed);
+            predict_response_fleet(
+                id,
+                &prediction,
+                tier,
+                fleet.as_ref().map(|(m, v)| (m.as_str(), *v)),
+            )
+        }
+        Outbound::Error { id, code, message } => {
+            inner.stats.count_error(code);
+            if code == ErrorCode::Shed {
+                error_response_retry(id, code, &message, inner.config.tuning.retry_after_ms)
+            } else {
+                error_response(id, code, &message)
             }
         }
     }
@@ -1195,69 +1393,33 @@ fn stats_frame(inner: &Inner) -> String {
     frame
 }
 
-/// Admits one predict request, waits for its reply, writes it. Returns
-/// `false` when the connection should close.
-fn answer_predict(
+/// Admits one predict request whose reply slot the reader has already
+/// reserved. Immediate rejections (wrong width, shed) answer here; an
+/// admitted request is answered by the batcher, through the writer.
+/// Returns `false` when the connection should stop reading.
+fn admit_predict(
     inner: &Inner,
-    writer: &mut TcpStream,
+    tx: &mpsc::Sender<Outbound>,
     id: u64,
     features: Vec<f32>,
     deadline_ms: Option<u64>,
     model: Option<String>,
 ) -> bool {
-    // Fleet routing resolves FIRST: the request pins its model snapshot
-    // before admission, so nothing between here and the flush — not a
-    // hot-swap, not an LRU eviction — can change which version answers.
-    let fleet_model: Option<Arc<FleetModel>> = match model {
-        None => None,
-        Some(name) => {
-            let resolved = inner
-                .fleet
-                .as_deref()
-                .ok_or_else(|| "this server serves no model fleet".to_string())
-                .and_then(|fleet| fleet.get(&name).map_err(|e| e.to_string()));
-            match resolved {
-                Ok(m) => Some(m),
-                Err(msg) => {
-                    inner.stats.count_error(ErrorCode::UnknownModel);
-                    return writeln!(
-                        writer,
-                        "{}",
-                        error_response(Some(id), ErrorCode::UnknownModel, &msg)
-                    )
-                    .is_ok();
-                }
-            }
-        }
+    let reject = |code: ErrorCode, message: String| {
+        tx.send(Outbound::Error {
+            id: Some(id),
+            code,
+            message,
+        })
+        .is_ok()
     };
     if features.len() != inner.expected_features {
-        inner.stats.count_error(ErrorCode::WrongWidth);
         let msg = format!(
             "feature count mismatch: got {}, model expects {}",
             features.len(),
             inner.expected_features
         );
-        return writeln!(
-            writer,
-            "{}",
-            error_response(Some(id), ErrorCode::WrongWidth, &msg)
-        )
-        .is_ok();
-    }
-    if inner.is_shutting_down() {
-        inner.stats.count_error(ErrorCode::Shed);
-        let msg = "server is shutting down";
-        return writeln!(
-            writer,
-            "{}",
-            error_response_retry(
-                Some(id),
-                ErrorCode::Shed,
-                msg,
-                inner.config.tuning.retry_after_ms
-            )
-        )
-        .is_ok();
+        return reject(ErrorCode::WrongWidth, msg);
     }
     let row = match &inner.prep {
         Some(prep) => prep(features),
@@ -1266,113 +1428,50 @@ fn answer_predict(
     let deadline = deadline_ms
         .or(inner.config.tuning.deadline_ms)
         .map(Duration::from_millis);
-    let (tx, rx) = mpsc::channel();
-    {
-        let mut queue = lock(&inner.queue);
-        if queue.len() >= inner.config.tuning.queue_depth {
-            match inner.config.tuning.backpressure {
-                Backpressure::Shed => {
-                    drop(queue);
-                    inner.stats.count_error(ErrorCode::Shed);
-                    let msg = format!(
-                        "overloaded: queue depth {} reached; request shed",
-                        inner.config.tuning.queue_depth
-                    );
-                    return writeln!(
-                        writer,
-                        "{}",
-                        error_response_retry(
-                            Some(id),
-                            ErrorCode::Shed,
-                            &msg,
-                            inner.config.tuning.retry_after_ms
-                        )
-                    )
-                    .is_ok();
-                }
-                Backpressure::Block => {
-                    while queue.len() >= inner.config.tuning.queue_depth
-                        && !inner.is_shutting_down()
-                    {
-                        queue = inner
-                            .space_ready
-                            .wait(queue)
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
+    let depth = inner.config.tuning.queue_depth;
+    let mut queue = lock(&inner.queue);
+    if queue.len() >= depth && !inner.is_shutting_down() {
+        match inner.config.tuning.backpressure {
+            Backpressure::Shed => {
+                drop(queue);
+                let msg = format!("overloaded: queue depth {depth} reached; request shed");
+                return reject(ErrorCode::Shed, msg);
+            }
+            Backpressure::Block => {
+                while queue.len() >= depth && !inner.is_shutting_down() {
+                    queue = inner
+                        .space_ready
+                        .wait(queue)
+                        .unwrap_or_else(|e| e.into_inner());
                 }
             }
         }
-        queue.push_back(PendingRequest {
-            row,
-            reply: tx,
-            admitted: Instant::now(),
-            deadline,
-            fleet_model,
-        });
-        inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
     }
+    // Checked under the queue lock, where the batcher also decides to
+    // exit: nothing is admitted after the drain's last flush.
+    if inner.is_shutting_down() {
+        drop(queue);
+        return reject(ErrorCode::Shed, "server is shutting down".into());
+    }
+    queue.push_back(PendingRequest {
+        row,
+        admitted: Instant::now(),
+        deadline,
+        model,
+        reply: ReplyTo {
+            id,
+            tx: Some(tx.clone()),
+        },
+    });
+    inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
+    drop(queue);
     inner.work_ready.notify_all();
-    loop {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(BatchOutcome::Predicted {
-                prediction,
-                tier,
-                fleet,
-            }) => {
-                inner.stats.answered.fetch_add(1, Ordering::Relaxed);
-                let frame = predict_response_fleet(
-                    id,
-                    &prediction,
-                    tier,
-                    fleet.as_ref().map(|(m, v)| (m.as_str(), *v)),
-                );
-                return writeln!(writer, "{frame}").is_ok();
-            }
-            Ok(BatchOutcome::DeadlineExceeded { waited_ms }) => {
-                inner.stats.count_error(ErrorCode::DeadlineExceeded);
-                let msg = format!("deadline exceeded after {waited_ms}ms in queue; not scored");
-                return writeln!(
-                    writer,
-                    "{}",
-                    error_response(Some(id), ErrorCode::DeadlineExceeded, &msg)
-                )
-                .is_ok();
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if inner.force_abort.load(Ordering::SeqCst) {
-                    // The bounded drain gave up on the batcher; answer
-                    // rather than hang.
-                    inner.stats.count_error(ErrorCode::Internal);
-                    let msg = "internal error: drain deadline aborted the request";
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        error_response(Some(id), ErrorCode::Internal, msg)
-                    );
-                    return false;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Batcher gone without answering — only possible on a
-                // catastrophic internal error or a force-abort; report
-                // rather than hang.
-                inner.stats.count_error(ErrorCode::Internal);
-                let msg = "internal error: batcher dropped the request";
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    error_response(Some(id), ErrorCode::Internal, msg)
-                );
-                return false;
-            }
-        }
-    }
+    true
 }
 
 /// Sweeps deadline-expired requests out of the queue, answering each
-/// `deadline_exceeded` through its reply channel — a request that already
-/// missed its deadline must not waste flush capacity. Returns how many
-/// were swept.
+/// `deadline_exceeded` — a request that already missed its deadline must
+/// not waste flush capacity. Returns how many were swept.
 fn sweep_expired(queue: &mut VecDeque<PendingRequest>) -> usize {
     let now = Instant::now();
     let mut swept = 0;
@@ -1384,7 +1483,8 @@ fn sweep_expired(queue: &mut VecDeque<PendingRequest>) -> usize {
         if expired {
             if let Some(req) = queue.remove(i) {
                 let waited_ms = duration_to_wire_ms(now.duration_since(req.admitted));
-                let _ = req.reply.send(BatchOutcome::DeadlineExceeded { waited_ms });
+                let msg = format!("deadline exceeded after {waited_ms}ms in queue; not scored");
+                req.reply.error(ErrorCode::DeadlineExceeded, msg);
                 swept += 1;
             }
         } else {
@@ -1394,26 +1494,62 @@ fn sweep_expired(queue: &mut VecDeque<PendingRequest>) -> usize {
     swept
 }
 
-/// The micro-batcher: applies the `max_batch` / `max_wait` policy over the
-/// shared queue, sweeps deadline-expired requests at every composition
-/// point, walks the degrade ladder by queue-depth hysteresis, and flushes
-/// through the pool-backed confidence path on the active tier. On shutdown
-/// it drains everything admitted before exiting (unless force-aborted by
-/// the bounded drain).
+/// Partitions a composed batch by serving model — the default ladder plus
+/// one group per named fleet model — in the order of each group's first
+/// request. Each name resolves once per flush, so its group scores on one
+/// pinned snapshot; a name the fleet cannot resolve answers
+/// `unknown_model`.
+fn group_by_model(
+    inner: &Inner,
+    batch: Vec<PendingRequest>,
+) -> Vec<(Option<Arc<FleetModel>>, Vec<PendingRequest>)> {
+    let mut by_name: Vec<(Option<String>, Vec<PendingRequest>)> = Vec::new();
+    for request in batch {
+        match by_name.iter_mut().find(|(name, _)| *name == request.model) {
+            Some((_, members)) => members.push(request),
+            None => by_name.push((request.model.clone(), vec![request])),
+        }
+    }
+    let mut groups = Vec::with_capacity(by_name.len());
+    for (name, members) in by_name {
+        let Some(name) = name else {
+            groups.push((None, members));
+            continue;
+        };
+        let resolved = inner
+            .fleet
+            .as_deref()
+            .ok_or_else(|| "this server serves no model fleet".to_string())
+            .and_then(|fleet| fleet.get(&name).map_err(|e| e.to_string()));
+        match resolved {
+            Ok(model) => groups.push((Some(model), members)),
+            Err(msg) => {
+                for request in members {
+                    request.reply.error(ErrorCode::UnknownModel, msg.clone());
+                }
+            }
+        }
+    }
+    groups
+}
+
+/// The micro-batcher: as soon as it is free it takes up to `max_batch`
+/// queued requests (work-conserving: `max_wait` does not delay it),
+/// sweeps deadline-expired requests at every composition point, walks the
+/// degrade ladder by queue-depth hysteresis, pins fleet snapshots, and
+/// flushes through the pool-backed confidence path on the active tier. On
+/// shutdown it drains everything admitted before exiting (unless
+/// force-aborted by the bounded drain).
 fn batcher_loop(inner: &Arc<Inner>) {
     let max_batch = inner.config.engine.max_batch.max(1);
-    let max_wait = inner.config.engine.max_wait;
     let degrade = inner.config.tuning.degrade;
     // Hysteresis state: consecutive overloaded / calm flushes.
     let mut hot_flushes = 0u32;
     let mut calm_flushes = 0u32;
     loop {
-        if inner.force_abort.load(Ordering::SeqCst) {
-            return;
-        }
         let (batch, depth_at_flush): (Vec<PendingRequest>, usize) = {
             let mut queue = lock(&inner.queue);
-            let deadline: Option<Instant> = loop {
+            loop {
                 if inner.force_abort.load(Ordering::SeqCst) {
                     return;
                 }
@@ -1429,62 +1565,22 @@ fn batcher_loop(inner: &Arc<Inner>) {
                 if sweep_expired(&mut queue) > 0 {
                     inner.space_ready.notify_all();
                 }
-                if queue.len() >= max_batch {
-                    break None; // full batch: flush now
+                if !queue.is_empty() {
+                    break;
                 }
                 if inner.is_shutting_down() {
-                    if queue.is_empty() {
-                        return; // drained: exit
-                    }
-                    break None; // flush the remainder
+                    return; // drained: exit
                 }
-                if queue.is_empty() {
-                    queue = inner
-                        .work_ready
-                        .wait(queue)
-                        .unwrap_or_else(|e| e.into_inner());
-                    continue;
-                }
-                // Non-empty, non-full: flush once the oldest admitted
-                // request has waited max_wait, counted from its admission
-                // (not from now: requests that queued up during a flush
-                // or a pause have already spent part of their wait).
-                break queue.front().map(|oldest| oldest.admitted + max_wait);
-            };
-            if let Some(deadline) = deadline {
-                loop {
-                    if inner.force_abort.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let now = Instant::now();
-                    if queue.len() >= max_batch
-                        || now >= deadline
-                        || inner.is_shutting_down()
-                        || inner.batcher_paused.load(Ordering::SeqCst)
-                    {
-                        break;
-                    }
-                    let (q, _timeout) = inner
-                        .work_ready
-                        .wait_timeout(queue, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    queue = q;
-                }
-                if inner.batcher_paused.load(Ordering::SeqCst) {
-                    continue; // re-enter the pause gate without composing
-                }
-                if sweep_expired(&mut queue) > 0 {
-                    inner.space_ready.notify_all();
-                }
+                queue = inner
+                    .work_ready
+                    .wait(queue)
+                    .unwrap_or_else(|e| e.into_inner());
             }
             let depth = queue.len();
             let take = depth.min(max_batch);
             (queue.drain(..take).collect(), depth)
         };
         inner.space_ready.notify_all();
-        if batch.is_empty() {
-            continue;
-        }
         // Degrade controller: hysteresis on flush-time queue depth. The
         // decision lands before this flush, so a step-down already serves
         // the current batch on the cheaper tier.
@@ -1513,21 +1609,9 @@ fn batcher_loop(inner: &Arc<Inner>) {
                 calm_flushes = 0;
             }
         }
-        // Partition the composed batch by serving model: the default
-        // ladder plus one group per distinct fleet snapshot. Grouping is
-        // by `Arc` identity, so requests admitted across a hot-swap land
-        // in separate groups — a flush never mixes model versions, and
-        // each group scores on exactly the snapshot its requests pinned.
-        let mut groups: Vec<(Option<Arc<FleetModel>>, Vec<PendingRequest>)> = Vec::new();
-        for request in batch {
-            let key = request.fleet_model.as_ref().map(Arc::as_ptr);
-            match groups
-                .iter_mut()
-                .find(|(m, _)| m.as_ref().map(Arc::as_ptr) == key)
-            {
-                Some((_, members)) => members.push(request),
-                None => groups.push((request.fleet_model.clone(), vec![request])),
-            }
+        let groups = group_by_model(inner, batch);
+        if groups.is_empty() {
+            continue;
         }
         let active = inner.active_tier.load(Ordering::Relaxed);
         inner.stats.batches.fetch_add(1, Ordering::Relaxed);
@@ -1556,9 +1640,14 @@ fn batcher_loop(inner: &Arc<Inner>) {
                     )
                 }
             };
-            let rows: Vec<Vec<f32>> = group.iter().map(|r| r.row.clone()).collect();
-            let x =
-                Matrix::from_rows(&rows).expect("admitted rows share the validated feature width");
+            // One copy: each row goes straight into the flush matrix.
+            let width = group[0].row.len();
+            let mut data = Vec::with_capacity(group.len() * width);
+            for request in &group {
+                data.extend_from_slice(&request.row);
+            }
+            let x = Matrix::from_vec(group.len(), width, data)
+                .expect("admitted rows share the validated feature width");
             *lock(&inner.flush_started) = Some(Instant::now());
             let predictions = model.predict_batch_with_confidence_chunked(
                 &x,
@@ -1567,13 +1656,9 @@ fn batcher_loop(inner: &Arc<Inner>) {
             );
             *lock(&inner.flush_started) = None;
             for (request, prediction) in group.into_iter().zip(predictions) {
-                // A send error means the handler/connection died
-                // mid-flight; the prediction is simply discarded.
-                let _ = request.reply.send(BatchOutcome::Predicted {
-                    prediction,
-                    tier: tier_tag,
-                    fleet: fleet_info.clone(),
-                });
+                request
+                    .reply
+                    .predicted(prediction, tier_tag, fleet_info.clone());
             }
         }
     }

@@ -1,11 +1,11 @@
 //! Integration tests for fleet serving: model-routed predictions over
-//! real sockets, atomic hot-swap under live concurrent load, and LRU
-//! eviction racing live predicts.
+//! real sockets, atomic hot-swap under live concurrent and pipelined
+//! load, and LRU eviction racing live predicts.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use boosthd::fleet::{Fleet, FleetConfig, ModelStore};
 use boosthd::{ModelSpec, OnlineHdConfig, Pipeline};
@@ -235,4 +235,85 @@ fn lru_eviction_racing_predicts_readmits_instead_of_erroring() {
     let stats = server.shutdown_and_join();
     assert_eq!(stats.answered, 200);
     assert_eq!(stats.unknown_model, 0);
+}
+
+/// A pipelined connection across a hot-swap: the batcher resolves each
+/// flush's snapshot, so replies may move from v1 to v2 mid-stream but
+/// never back. An unknown model in the same stream is answered from the
+/// batcher with its id, and the stream keeps serving.
+#[test]
+fn pipelined_replies_never_go_back_a_version_across_a_refresh() {
+    let path = temp_store("pipelined-swap");
+    let store = ModelStore::create(&path).unwrap();
+    store.append("hr", 1, &[&fit(11, 96)]).unwrap();
+    let fleet = Arc::new(Fleet::new(store, FleetConfig::default()));
+    let server = bind_fleet(Arc::clone(&fleet));
+    let mut client = connect(&server);
+    let ghost = 10_000u64;
+
+    server.pause_batcher();
+    for id in 0..100u64 {
+        client
+            .send_predict_model(id, "hr", &[0.5; FEATURES])
+            .unwrap();
+        if id == 50 {
+            client
+                .send_predict_model(ghost, "ghost", &[0.5; FEATURES])
+                .unwrap();
+        }
+    }
+    let t0 = Instant::now();
+    while server.stats().admitted < 101 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "requests not admitted"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    server.resume_batcher();
+    let mut replies = vec![client.recv().unwrap().expect("first reply")];
+    fleet.store().append("hr", 2, &[&fit(29, 96)]).unwrap();
+    assert_eq!(fleet.refresh("hr").unwrap().version(), 2);
+    for id in 100..200u64 {
+        client
+            .send_predict_model(id, "hr", &[0.5; FEATURES])
+            .unwrap();
+    }
+    while replies.len() < 201 {
+        replies.push(client.recv().unwrap().expect("pipelined reply"));
+    }
+
+    let mut last_version = 0;
+    let mut ids = Vec::new();
+    let mut ghost_answered = false;
+    for reply in replies {
+        match reply {
+            Reply::Predict {
+                id, model, version, ..
+            } => {
+                assert_eq!(model.as_deref(), Some("hr"));
+                let v = version.expect("fleet replies carry a version");
+                assert!(
+                    v >= last_version,
+                    "version went back: {last_version} -> {v}"
+                );
+                last_version = v;
+                ids.push(id);
+            }
+            Reply::Error { id, code, .. } => {
+                assert_eq!(id, Some(ghost));
+                assert_eq!(code.as_deref(), Some("unknown_model"));
+                ghost_answered = true;
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert!(ghost_answered, "the unknown model must be answered");
+    assert_eq!(last_version, 2, "requests sent after the refresh serve v2");
+    ids.sort_unstable();
+    assert_eq!(ids, (0..200).collect::<Vec<_>>());
+    drop(client);
+    let stats = server.shutdown_and_join();
+    assert_eq!(stats.answered, 200);
+    assert_eq!(stats.unknown_model, 1);
 }

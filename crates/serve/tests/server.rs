@@ -1,11 +1,14 @@
 //! Integration tests for the TCP serving front-end: protocol hardening,
-//! graceful drain, admission control, and worker-pool panic isolation.
+//! pipelined connections, graceful drain, admission control, connection
+//! reaping, and worker-pool panic isolation.
 //!
 //! Every test binds an ephemeral loopback port and talks the real
 //! JSON-lines protocol through real sockets.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -186,7 +189,8 @@ fn mid_stream_disconnect_leaves_server_healthy() {
 
 #[test]
 fn shed_backpressure_reports_overload_instead_of_queueing() {
-    // queue_depth 1 + a slow-flush engine: concurrent requests must shed.
+    // queue_depth 1 with one-row flushes: concurrent requests that find
+    // the queue full must shed.
     let server = start_server(ServerConfig {
         engine: EngineConfig {
             max_batch: 1,
@@ -237,24 +241,55 @@ fn shed_backpressure_reports_overload_instead_of_queueing() {
     assert_eq!(stats.protocol_errors, 0);
 }
 
+/// Polls the server's counters until `admitted` reaches `n`.
+fn wait_admitted(server: &Server, n: u64) {
+    let t0 = Instant::now();
+    while server.stats().admitted < n {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "only {} of {n} requests admitted",
+            server.stats().admitted
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+fn seeded_rows(seed: u64, n: usize) -> Vec<Vec<f32>> {
+    let mut rng = Rng64::seed_from(seed);
+    (0..n)
+        .map(|_| (0..FEATURES).map(|_| 2.0 * rng.normal()).collect())
+        .collect()
+}
+
 #[test]
 fn graceful_drain_answers_every_inflight_request() {
-    // A large max_wait so requests sit in the queue when shutdown lands:
-    // the drain must still answer every one of them.
+    // The batcher is held until every request is queued: 24 one-request
+    // connections plus one pipelined connection with 8 requests. One-row
+    // flushes make the drain start with the queue still full, and it must
+    // answer every queued request anyway.
     let server = start_server(ServerConfig {
         engine: EngineConfig {
-            max_batch: 1000,
-            max_wait: Duration::from_secs(5),
+            max_batch: 1,
             threads: Some(2),
             exec: ExecBackend::Pooled,
+            ..Default::default()
         },
         ..Default::default()
     });
     let addr = server.local_addr().to_string();
-    let total = 24u64;
+    server.pause_batcher();
+    let singles = 24u64;
+    let pipelined = 8u64;
+    let total = singles + pipelined;
+    let mut batch_client = Client::connect(&addr).unwrap();
+    for i in 0..pipelined {
+        batch_client
+            .send_predict(1_000 + i, &[0.25; FEATURES])
+            .unwrap();
+    }
     let answers: Vec<u64> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for i in 0..total {
+        for i in 0..singles {
             let addr = addr.clone();
             handles.push(scope.spawn(move || {
                 let mut client = Client::connect(&addr).unwrap();
@@ -264,19 +299,162 @@ fn graceful_drain_answers_every_inflight_request() {
                 }
             }));
         }
-        // Wait until every request is admitted, then drain mid-batch.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while server.stats().admitted < total && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(server.stats().admitted, total, "all requests admitted");
+        wait_admitted(&server, total);
+        server.resume_batcher();
         let stats = server.shutdown_and_join();
         assert_eq!(stats.answered, total, "drain must flush the whole queue");
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let mut ids = answers;
     ids.sort_unstable();
-    assert_eq!(ids, (0..total).collect::<Vec<_>>());
+    assert_eq!(ids, (0..singles).collect::<Vec<_>>());
+    // The pipelined connection gets every reply, then the close.
+    let mut pipelined_ids: Vec<u64> = (0..pipelined)
+        .map(|_| match batch_client.recv().unwrap() {
+            Some(Reply::Predict { id, .. }) => id,
+            other => panic!("pipelined request dropped: {other:?}"),
+        })
+        .collect();
+    pipelined_ids.sort_unstable();
+    assert_eq!(
+        pipelined_ids,
+        (1_000..1_000 + pipelined).collect::<Vec<_>>()
+    );
+    assert!(
+        matches!(batch_client.recv(), Ok(None)),
+        "drain closes the socket"
+    );
+}
+
+#[test]
+fn pipelined_predicts_share_flushes_and_match_in_process_predictions() {
+    // One connection sends 64 predicts before reading any reply. The held
+    // batcher proves the reader admits all of them without waiting for a
+    // reply; once released they flush together, and every reply is
+    // bit-identical to the in-process prediction of its row.
+    let pipeline = trained_pipeline();
+    let server = Server::bind(
+        Arc::clone(&pipeline),
+        FEATURES,
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        None,
+    )
+    .unwrap();
+    server.pause_batcher();
+    let rows = seeded_rows(23, 64);
+    let mut client = connect(&server);
+    for (i, row) in rows.iter().enumerate() {
+        client.send_predict(i as u64, row).unwrap();
+    }
+    wait_admitted(&server, rows.len() as u64);
+    server.resume_batcher();
+    let mut seen = vec![false; rows.len()];
+    for _ in 0..rows.len() {
+        match client.recv().unwrap() {
+            Some(Reply::Predict {
+                id,
+                class,
+                confidence,
+                margin,
+                abstained,
+                ..
+            }) => {
+                let i = id as usize;
+                assert!(!seen[i], "id {id} answered twice");
+                seen[i] = true;
+                let want = pipeline.predict_with_confidence(&rows[i]);
+                assert_eq!(class, want.class, "request {id} class");
+                assert_eq!(confidence.to_bits(), want.confidence.to_bits());
+                assert_eq!(margin.to_bits(), want.margin.to_bits());
+                assert_eq!(abstained, want.abstained);
+            }
+            other => panic!("expected a prediction, got {other:?}"),
+        }
+    }
+    let stats = server.shutdown_and_join();
+    assert_eq!(stats.answered, 64);
+    assert!(
+        stats.batches < 64,
+        "the connection's requests must share flushes ({} batches)",
+        stats.batches
+    );
+}
+
+#[test]
+fn non_reading_client_is_held_back_instead_of_buffered() {
+    // A client that sends without reading: once its unwritten replies
+    // reach queue_depth, the server stops reading from it, so the sender
+    // blocks in TCP backpressure. When the client reads, every id is
+    // answered exactly once.
+    let depth = 4u64;
+    let server = start_server(ServerConfig {
+        tuning: ServerTuning {
+            queue_depth: depth as usize,
+            backpressure: Backpressure::Block,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut sender = stream.try_clone().unwrap();
+    let mut client = Client::from_stream(stream);
+    let stop = AtomicBool::new(false);
+    let sent = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let sending = scope.spawn(|| {
+            let features = ["0.5"; FEATURES].join(",");
+            while !stop.load(Ordering::SeqCst) {
+                let id = sent.load(Ordering::SeqCst);
+                let frame = format!("{{\"id\":{id},\"features\":[{features}]}}\n");
+                sender.write_all(frame.as_bytes()).unwrap();
+                sent.store(id + 1, Ordering::SeqCst);
+            }
+        });
+        // Wait until the server stops taking requests in.
+        let t0 = Instant::now();
+        let mut last = (server.stats().admitted, Instant::now());
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(
+                t0.elapsed() < Duration::from_secs(60),
+                "the server never stopped reading"
+            );
+            let admitted = server.stats().admitted;
+            if admitted != last.0 {
+                last = (admitted, Instant::now());
+            } else if last.1.elapsed() >= Duration::from_millis(300) {
+                break;
+            }
+        }
+        let stats = server.stats();
+        assert!(!sending.is_finished(), "the sender must be blocked");
+        assert!(
+            stats.admitted < sent.load(Ordering::SeqCst),
+            "sent frames must wait unread in the socket"
+        );
+        assert!(
+            stats.admitted - stats.answered <= depth,
+            "{} admitted, {} answered: more than queue_depth replies unwritten",
+            stats.admitted,
+            stats.answered
+        );
+        // Read everything: the server resumes reading, the sender
+        // finishes, and every id it sent is answered once.
+        stop.store(true, Ordering::SeqCst);
+        let mut answered: HashMap<u64, usize> = HashMap::new();
+        while !sending.is_finished() || (answered.len() as u64) < sent.load(Ordering::SeqCst) {
+            match client.recv().unwrap() {
+                Some(Reply::Predict { id, .. }) => *answered.entry(id).or_default() += 1,
+                other => panic!("expected a prediction, got {other:?}"),
+            }
+        }
+        sending.join().unwrap();
+        let sent = sent.load(Ordering::SeqCst);
+        assert_eq!(answered.len() as u64, sent);
+        assert!(answered.iter().all(|(id, n)| *id < sent && *n == 1));
+    });
+    server.shutdown_and_join();
 }
 
 #[test]
@@ -811,9 +989,10 @@ fn worker_panic_is_isolated_and_worker_replaced() {
     // pooled backend: requests must keep succeeding and the pool must
     // report the replacement.
     let pool = boosthd_serve::pool::global();
-    // A generous max_wait so a concurrent burst coalesces into one
-    // multi-row batch, which is what fans out over the pool (a single-row
-    // batch short-circuits to the serial path and never touches it).
+    // Concurrent bursts of four, so requests that arrive during a flush
+    // coalesce into a multi-row batch, which is what fans out over the
+    // pool (a single-row batch short-circuits to the serial path and
+    // never touches it).
     let server = start_server(ServerConfig {
         engine: EngineConfig {
             max_batch: 4,
@@ -864,4 +1043,49 @@ fn worker_panic_is_isolated_and_worker_replaced() {
     assert_eq!(pool.live_workers(), pool.size(), "pool healed to full size");
     let stats = server.shutdown_and_join();
     assert_eq!(stats.protocol_errors, 0);
+}
+
+/// Descriptors this test process holds open (Linux only).
+#[cfg(target_os = "linux")]
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list /proc/self/fd")
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_sockets() {
+    // 200 closed connections must not keep 200 server-side descriptors.
+    // Other tests in this binary open sockets concurrently, so the count
+    // is polled against a margin well below the 200 a leak would add.
+    let server = default_server();
+    let addr = server.local_addr();
+    let baseline = open_fds();
+    for _ in 0..200 {
+        let mut client = connect(&server);
+        assert_eq!(client.ping().unwrap(), Reply::Ok("pong".into()));
+    }
+    let t0 = Instant::now();
+    while open_fds() > baseline + 40 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "{} descriptors open after 200 closed connections, {baseline} before",
+            open_fds()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // A client that half-closes after a ping reads its pong, then EOF.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("EOF within 1 s of the half-close");
+    assert_eq!(response, "{\"ok\":\"pong\"}\n");
+    server.shutdown_and_join();
 }
