@@ -250,7 +250,12 @@ impl ModelStore {
 
     /// Highest version published for `model_id`, if any.
     pub fn latest_version(&self, model_id: &str) -> Option<u64> {
-        self.versions(model_id).last().copied()
+        let st = self.state.lock().unwrap();
+        st.entries
+            .iter()
+            .filter(|e| e.model_id == model_id)
+            .map(|e| e.version)
+            .max()
     }
 
     /// Appends one published model — all its degrade-ladder tiers, most
@@ -311,9 +316,13 @@ impl ModelStore {
     /// arrays are decoded.
     pub fn load(&self, model_id: &str, version: u64) -> Result<FleetModel> {
         let entries: Vec<StoreEntry> = self
-            .entries()
-            .into_iter()
+            .state
+            .lock()
+            .unwrap()
+            .entries
+            .iter()
             .filter(|e| e.model_id == model_id && e.version == version)
+            .cloned()
             .collect();
         if entries.is_empty() {
             return Err(store_err(format!(

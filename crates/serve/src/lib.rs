@@ -100,6 +100,9 @@ pub struct EngineConfig {
     /// when each request arrives (and everything pending is flushed when
     /// the source ends): a source that blocks mid-stream delays the
     /// requests already queued behind it until it yields again.
+    ///
+    /// The network server ([`server`]) never holds a batch back; it paces
+    /// flushes at `max_batch` rows per `2 · max_wait` instead.
     pub max_wait: Duration,
     /// Worker threads per flush; `None` resolves
     /// [`boosthd::parallel::default_threads`] at engine construction

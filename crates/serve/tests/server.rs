@@ -327,6 +327,61 @@ fn graceful_drain_answers_every_inflight_request() {
 }
 
 #[test]
+fn flushes_are_paced_past_the_burst_and_a_drain_is_not() {
+    // Rows accrue at max_batch (2) per two max_wait (5 s) periods, up to
+    // a burst of queue_depth (4) rows. Once the burst is spent the next
+    // batch is seconds away, but a drain flushes what is left at once.
+    let server = start_server(ServerConfig {
+        engine: EngineConfig {
+            max_batch: 2,
+            max_wait: Duration::from_secs(5),
+            ..Default::default()
+        },
+        tuning: ServerTuning {
+            queue_depth: 4,
+            backpressure: Backpressure::Block,
+            ..Default::default()
+        },
+    });
+    let mut client = connect(&server);
+    let total = 6u64;
+    for (id, row) in (0..total).zip(seeded_rows(41, total as usize)) {
+        client.send_predict(id, &row).unwrap();
+    }
+    wait_admitted(&server, total);
+    // The burst answers 3 or 4 rows (a one-row flush spends one row of the
+    // budget); after it the budget holds at most one row, so the next
+    // batch is at least 5 s away.
+    let t0 = Instant::now();
+    while server.stats().answered < 3 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(4),
+            "the burst never flushed"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    let burst = server.stats().answered;
+    assert!(burst <= 4, "{burst} rows answered past the 4-row budget");
+    let started = Instant::now();
+    let stats = server.shutdown_and_join();
+    assert!(
+        started.elapsed() < Duration::from_millis(2_500),
+        "the drain waited {:?} for the pace",
+        started.elapsed()
+    );
+    assert_eq!(stats.answered, total);
+    let mut ids: Vec<u64> = (0..total)
+        .map(|_| match client.recv().unwrap() {
+            Some(Reply::Predict { id, .. }) => id,
+            other => panic!("expected a prediction, got {other:?}"),
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..total).collect::<Vec<_>>());
+}
+
+#[test]
 fn pipelined_predicts_share_flushes_and_match_in_process_predictions() {
     // One connection sends 64 predicts before reading any reply. The held
     // batcher proves the reader admits all of them without waiting for a
