@@ -15,8 +15,9 @@
 //!
 //! All models implement [`boosthd::Classifier`], so the benchmark harness
 //! sweeps them interchangeably with the HDC family, and the differentiable
-//! ones ([`Mlp`], [`LinearSvm`]) implement [`faults::Perturbable`] for
-//! the bit-flip robustness experiment (Figure 8).
+//! ones ([`Mlp`], [`LinearSvm`]) list their weight and bias buffers to
+//! [`boosthd::pipeline::Model::inject_bitflips`] for the bit-flip
+//! robustness experiment (Figure 8).
 //!
 //! # Example
 //!

@@ -13,7 +13,6 @@
 
 use crate::error::{validate_inputs, BaselineError, Result};
 use boosthd::{argmax, Classifier};
-use faults::Perturbable;
 use linalg::{Matrix, Rng64};
 use serde::{Deserialize, Serialize};
 
@@ -83,9 +82,9 @@ impl MlpConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     /// Per-layer weight matrices, shape `(fan_in, fan_out)`.
-    weights: Vec<Matrix>,
+    pub(crate) weights: Vec<Matrix>,
     /// Per-layer biases.
-    biases: Vec<Vec<f32>>,
+    pub(crate) biases: Vec<Vec<f32>>,
     num_classes: usize,
 }
 
@@ -199,19 +198,6 @@ impl Classifier for Mlp {
     fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
         let logits = self.forward(x);
         (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
-    }
-}
-
-impl Perturbable for Mlp {
-    fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        let mut buffers: Vec<&mut [f32]> = Vec::new();
-        for w in &mut self.weights {
-            buffers.push(w.as_mut_slice());
-        }
-        for b in &mut self.biases {
-            buffers.push(b.as_mut_slice());
-        }
-        buffers
     }
 }
 
@@ -413,6 +399,7 @@ fn train_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boosthd::pipeline::Model;
 
     fn blobs(n: usize, seed: u64, sep: f32) -> (Matrix, Vec<usize>) {
         let mut rng = Rng64::seed_from(seed);
@@ -548,8 +535,11 @@ mod tests {
     fn perturbable_exposes_all_layers() {
         let (x, y) = blobs(30, 8, 1.0);
         let mut model = Mlp::fit(&MlpConfig::small(), &x, &y).unwrap();
+        let report = model
+            .inject_bitflips(0.0, &mut Rng64::seed_from(0))
+            .unwrap();
         // weights: 2·32 + 32·16 + 16·3 ; biases: 32 + 16 + 3
-        assert_eq!(model.param_count(), 2 * 32 + 32 * 16 + 16 * 3 + 32 + 16 + 3);
+        assert_eq!(report.words, 2 * 32 + 32 * 16 + 16 * 3 + 32 + 16 + 3);
     }
 
     #[test]

@@ -39,18 +39,21 @@ fn unsupported_persistence(name: &str) -> BoostHdError {
 }
 
 macro_rules! impl_baseline_model {
-    // Families with exposed f32 parameter buffers take IEEE-754 word
+    // The differentiable families list their f32 parameter buffers
+    // (`$m => buffers`), each walked as its own store with IEEE-754 word
     // flips; the tree-based families report a clear error instead.
-    (@inject perturbable $name:literal) => {
+    (@inject $name:literal, $m:ident => $buffers:expr) => {
         fn inject_bitflips(
             &mut self,
             p_b: f64,
             rng: &mut linalg::Rng64,
         ) -> boosthd::Result<faults::BitflipReport> {
-            Ok(faults::flip_bits(self, p_b, rng))
+            let $m = self;
+            let stores = $buffers.map(|b: &mut [f32]| vec![faults::StoredBits::F32(b)]);
+            Ok(faults::flip_stored_bits(stores, p_b, rng))
         }
     };
-    (@inject opaque $name:literal) => {
+    (@inject $name:literal, opaque) => {
         fn inject_bitflips(
             &mut self,
             _p_b: f64,
@@ -64,7 +67,7 @@ macro_rules! impl_baseline_model {
             })
         }
     };
-    ($ty:ty, $name:literal, $storage:ident) => {
+    ($ty:ty, $name:literal, $($storage:tt)+) => {
         impl Model for $ty {
             fn payload_kind(&self) -> PayloadKind {
                 PayloadKind::Unsupported
@@ -72,7 +75,7 @@ macro_rules! impl_baseline_model {
             fn clone_box(&self) -> Box<dyn Model> {
                 Box::new(self.clone())
             }
-            impl_baseline_model!(@inject $storage $name);
+            impl_baseline_model!(@inject $name, $($storage)+);
             fn to_payload(&self) -> boosthd::Result<Vec<u8>> {
                 Err(unsupported_persistence($name))
             }
@@ -89,8 +92,11 @@ macro_rules! impl_baseline_model {
 impl_baseline_model!(AdaBoost, "adaboost", opaque);
 impl_baseline_model!(RandomForest, "random_forest", opaque);
 impl_baseline_model!(GradientBoostedTrees, "gbt", opaque);
-impl_baseline_model!(LinearSvm, "svm", perturbable);
-impl_baseline_model!(Mlp, "mlp", perturbable);
+impl_baseline_model!(LinearSvm, "svm", m => [m.weights.as_mut_slice()].into_iter());
+impl_baseline_model!(Mlp, "mlp", m => {
+    let weights = m.weights.iter_mut().map(Matrix::as_mut_slice);
+    weights.chain(m.biases.iter_mut().map(Vec::as_mut_slice))
+});
 
 fn convert_err(e: crate::BaselineError) -> BoostHdError {
     BoostHdError::DataMismatch {

@@ -9,7 +9,6 @@
 
 use crate::error::{validate_inputs, BaselineError, Result};
 use boosthd::{argmax, Classifier};
-use faults::Perturbable;
 use linalg::{Matrix, Rng64};
 use serde::{Deserialize, Serialize};
 
@@ -55,7 +54,7 @@ impl Default for LinearSvmConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinearSvm {
     /// `classes × (features + 1)` weights; the last column is the bias.
-    weights: Matrix,
+    pub(crate) weights: Matrix,
     num_classes: usize,
 }
 
@@ -159,15 +158,10 @@ impl Classifier for LinearSvm {
     }
 }
 
-impl Perturbable for LinearSvm {
-    fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.weights.as_mut_slice()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boosthd::pipeline::Model;
 
     fn blobs(n: usize, seed: u64, sep: f32) -> (Matrix, Vec<usize>) {
         let mut rng = Rng64::seed_from(seed);
@@ -285,6 +279,7 @@ mod tests {
     fn perturbable_exposes_weights() {
         let (x, y) = blobs(50, 6, 1.5);
         let mut svm = LinearSvm::fit(&LinearSvmConfig::default(), &x, &y).unwrap();
-        assert_eq!(svm.param_count(), 2 * 3); // 2 classes × (2 features + bias)
+        let report = svm.inject_bitflips(0.0, &mut Rng64::seed_from(0)).unwrap();
+        assert_eq!(report.words, 2 * 3); // 2 classes × (2 features + bias)
     }
 }

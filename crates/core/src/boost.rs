@@ -37,7 +37,7 @@ use crate::online::{
     normalize_rows, normalize_weights, scores_unit_classes_batch, train_class_hvs,
     validate_training_inputs,
 };
-use faults::Perturbable;
+use faults::BitflipReport;
 use hdc::encoder::{Encode, SinusoidEncoder};
 use hdc::DimensionPartition;
 use linalg::{Matrix, Rng64};
@@ -497,6 +497,11 @@ impl BoostHd {
         })
     }
 
+    /// Bit-flip injection over every learner's memory ([`Ensemble`]'s).
+    pub(crate) fn flip_stored_bits(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+        self.ensemble.flip_stored_bits(p_b, rng)
+    }
+
     /// Quantizes every weak learner's class hypervectors to bipolar
     /// `{−1, +1}` in place — the 1-bit representation HDC accelerators
     /// store. See [`crate::OnlineHd::quantize_bipolar`].
@@ -552,16 +557,6 @@ impl Classifier for BoostHd {
 
     fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
         self.ensemble.predict_batch(x)
-    }
-}
-
-impl Perturbable for BoostHd {
-    fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        self.ensemble
-            .learners
-            .iter_mut()
-            .map(|l| l.memory.as_mut_slice())
-            .collect()
     }
 }
 
@@ -783,7 +778,8 @@ mod tests {
         let (x, y) = blobs(60, 14, 1.0, 0.4);
         let mut model = BoostHd::fit(&small_config(), &x, &y).unwrap();
         // 8 learners × 3 classes × 80 dims (640/8).
-        assert_eq!(model.param_count(), 8 * 3 * 80);
+        let report = model.flip_stored_bits(0.0, &mut Rng64::seed_from(0));
+        assert_eq!(report.words, 8 * 3 * 80);
     }
 
     #[test]

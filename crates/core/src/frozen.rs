@@ -10,7 +10,8 @@
 //!   ([`crate::quantized_i8::I8Rows`], widening integer dot) or packed
 //!   sign rows ([`hdc::backend::PackedMatrix`], XOR + popcount). It owns
 //!   scoring, freezing from trained rows, the refit row update, storage
-//!   bytes, bit-flip injection and its BHD1 array codec.
+//!   bytes, the stored bits fault injection flips and its BHD1 array
+//!   codec.
 //! * [`Single`] is one encoder plus one memory; [`Ensemble`] is one
 //!   shared encoder plus weak learners, each scoring a segment of the
 //!   encoding (or, in the full-dimension ablation, its private encoder's
@@ -35,7 +36,7 @@ use crate::error::{BoostHdError, Result};
 use crate::online::scores_unit_classes_batch;
 use crate::persist::{self, Reader, Writer};
 use crate::pipeline::PayloadKind;
-use faults::{BitflipReport, Perturbable};
+use faults::{BitflipReport, StoredBits};
 use hdc::encoder::{Encode, SinusoidEncoder};
 use linalg::matrix::norm;
 use linalg::{Matrix, Rng64};
@@ -87,10 +88,13 @@ pub trait ClassMemory: Clone + std::fmt::Debug + Send + Sync + 'static {
     /// Bytes a deployed memory holds for these rows.
     fn storage_bytes(&self) -> usize;
 
-    /// Flips each stored bit of `memories`, taken as one parameter store
-    /// in order, with probability `p_b`, and refreshes anything derived
-    /// from the stored bits.
-    fn inject_bitflips(memories: Vec<&mut Self>, p_b: f64, rng: &mut Rng64) -> BitflipReport;
+    /// Lists the stored bits of `memories` — one model's memories, in
+    /// order — as the stores [`faults::flip_stored_bits`] walks once each.
+    fn stored_bits<'a>(memories: Vec<&'a mut Self>) -> Vec<Vec<StoredBits<'a>>>;
+
+    /// Re-derives anything cached from the stored bits after they were
+    /// flipped in place.
+    fn refresh(&mut self) {}
 
     /// Writes the memory's BHD1 array encoding.
     fn put(&self, w: &mut Writer);
@@ -102,17 +106,6 @@ pub trait ClassMemory: Clone + std::fmt::Debug + Send + Sync + 'static {
     ///
     /// Fails on truncated or inconsistent input.
     fn get(r: &mut Reader<'_>) -> Result<Self>;
-}
-
-/// Several class memories viewed as one parameter store, in order — the
-/// fault-injection target [`ClassMemory::inject_bitflips`] hands to the
-/// [`faults`] injectors.
-pub(crate) struct Stores<'a, M>(pub(crate) Vec<&'a mut M>);
-
-impl Perturbable for Stores<'_, Matrix> {
-    fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        self.0.iter_mut().map(|m| m.as_mut_slice()).collect()
-    }
 }
 
 /// Unit-normalized dense f32 class rows; scores are cosine similarities.
@@ -156,8 +149,12 @@ impl ClassMemory for Matrix {
         std::mem::size_of_val(self.as_slice())
     }
 
-    fn inject_bitflips(memories: Vec<&mut Self>, p_b: f64, rng: &mut Rng64) -> BitflipReport {
-        faults::flip_bits(&mut Stores(memories), p_b, rng)
+    /// One store per memory.
+    fn stored_bits<'a>(memories: Vec<&'a mut Self>) -> Vec<Vec<StoredBits<'a>>> {
+        memories
+            .into_iter()
+            .map(|m| vec![StoredBits::F32(m.as_mut_slice())])
+            .collect()
     }
 
     fn put(&self, w: &mut Writer) {
@@ -167,6 +164,21 @@ impl ClassMemory for Matrix {
     fn get(r: &mut Reader<'_>) -> Result<Self> {
         r.get_matrix()
     }
+}
+
+/// Flips each stored bit of `memories` with probability `p_b`, walking the
+/// stores [`ClassMemory::stored_bits`] lists, then refreshes each memory.
+fn flip_memories<M: ClassMemory>(
+    mut memories: Vec<&mut M>,
+    p_b: f64,
+    rng: &mut Rng64,
+) -> BitflipReport {
+    let stores = M::stored_bits(memories.iter_mut().map(|m| &mut **m).collect());
+    let report = faults::flip_stored_bits(stores, p_b, rng);
+    for m in memories {
+        m.refresh();
+    }
+    report
 }
 
 /// Walks a batch in row chunks, calling `f(start, chunk)` for each. The
@@ -299,9 +311,9 @@ impl<M: ClassMemory> Single<M> {
         out
     }
 
-    /// Bit-flip injection over the class memory ([`ClassMemory::inject_bitflips`]).
-    pub(crate) fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
-        M::inject_bitflips(vec![&mut self.memory], p_b, rng)
+    /// Bit-flip injection over the class memory ([`flip_memories`]).
+    pub(crate) fn flip_stored_bits(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+        flip_memories(vec![&mut self.memory], p_b, rng)
     }
 
     /// Writes the blob body after the header: class count, encoder, memory.
@@ -496,10 +508,11 @@ impl<M: ClassMemory> Ensemble<M> {
         self.learners.iter().map(|l| l.memory.storage_bytes()).sum()
     }
 
-    /// Bit-flip injection over every learner's memory, in training order.
-    pub(crate) fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+    /// Bit-flip injection over every learner's memory, in training order
+    /// ([`flip_memories`]).
+    pub(crate) fn flip_stored_bits(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
         let memories = self.learners.iter_mut().map(|l| &mut l.memory).collect();
-        M::inject_bitflips(memories, p_b, rng)
+        flip_memories(memories, p_b, rng)
     }
 
     /// Whether any learner reads the shared encoding.

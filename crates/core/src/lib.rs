@@ -37,11 +37,10 @@
 //! kind of each (shape, memory) pair.
 //!
 //! All models implement the [`Classifier`] trait (shared with the
-//! `baselines` crate); f32 models implement [`faults::Perturbable`] and
-//! bitpacked models [`faults::PerturbablePacked`] for bit-flip fault
-//! injection, and every HDC model injects faults on its own storage
-//! through [`Model::inject_bitflips`] (int8 flips land on the stored
-//! bytes, [`faults::flip_i8_bits`]).
+//! `baselines` crate). Bit-flip fault injection has one entry point,
+//! [`Model::inject_bitflips`]: each class memory lists its stored bits
+//! (f32 words, int8 bytes or packed sign rows) and
+//! [`faults::flip_stored_bits`] flips them in place.
 //!
 //! The recommended front door is the **unified facade** ([`pipeline`]):
 //! describe any model (HDC or classical baseline) as a serializable

@@ -29,7 +29,7 @@
 use crate::classifier::{argmax, Classifier};
 use crate::error::{BoostHdError, Result};
 use crate::frozen::Single;
-use faults::Perturbable;
+use faults::BitflipReport;
 use hdc::encoder::{Encode, SinusoidEncoder};
 use linalg::matrix::{dot, norm};
 use linalg::{Matrix, Rng64};
@@ -253,6 +253,11 @@ impl OnlineHd {
         Ok(Self { single, config })
     }
 
+    /// Bit-flip injection over the class memory ([`Single`]'s).
+    pub(crate) fn flip_stored_bits(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+        self.single.flip_stored_bits(p_b, rng)
+    }
+
     /// Quantizes the class hypervectors to bipolar `{−1, +1}` in place —
     /// the representation HDC accelerators store in 1-bit memories. Cosine
     /// scoring continues to work; accuracy typically drops by well under a
@@ -277,12 +282,6 @@ impl Classifier for OnlineHd {
 
     fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
         self.single.predict_batch(x)
-    }
-}
-
-impl Perturbable for OnlineHd {
-    fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.single.memory.as_mut_slice()]
     }
 }
 
@@ -778,8 +777,8 @@ mod tests {
     fn perturbable_exposes_class_hvs() {
         let (x, y) = blobs(40, 12);
         let mut model = OnlineHd::fit(&small_config(), &x, &y).unwrap();
-        let count = model.param_count();
-        assert_eq!(count, 2 * 512);
+        let report = model.flip_stored_bits(0.0, &mut Rng64::seed_from(0));
+        assert_eq!(report.words, 2 * 512);
     }
 
     #[test]

@@ -138,9 +138,12 @@ pub trait Model: Classifier + Send + Sync {
 
     /// Flips each stored parameter bit independently with probability
     /// `p_b`, drawing flip positions from `rng` — the memory-fault model
-    /// of the paper's Section IV-D. Dense-f32 families take IEEE-754 word
-    /// flips ([`faults::flip_bits`]); bitpacked families take sign-bit
-    /// flips ([`faults::flip_sign_bits`]).
+    /// of the paper's Section IV-D, and the one model-level injection
+    /// entry point. Dense-f32 families take IEEE-754 word flips, int8
+    /// families two's-complement byte flips (their row norms are then
+    /// re-derived from the bytes), and bitpacked families sign-bit flips;
+    /// see [`faults::flip_stored_bits`] for the walk. A `p_b` that is not
+    /// positive (NaN included) flips nothing.
     ///
     /// # Errors
     ///
@@ -182,7 +185,7 @@ pub trait Model: Classifier + Send + Sync {
 }
 
 macro_rules! impl_hdc_model {
-    ($ty:ty $(where $g:ident: $bound:path)?, $kind:expr, $inject:path) => {
+    ($ty:ty $(where $g:ident: $bound:path)?, $kind:expr) => {
         impl$(<$g: $bound>)? Model for $ty {
             fn payload_kind(&self) -> PayloadKind {
                 $kind
@@ -191,7 +194,7 @@ macro_rules! impl_hdc_model {
                 Box::new(self.clone())
             }
             fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> Result<BitflipReport> {
-                Ok($inject(self, p_b, rng))
+                Ok(self.flip_stored_bits(p_b, rng))
             }
             fn encode_store(&self, w: &mut Writer) -> Result<()> {
                 if $kind == PayloadKind::Unsupported {
@@ -210,10 +213,10 @@ macro_rules! impl_hdc_model {
     };
 }
 
-impl_hdc_model!(OnlineHd, PayloadKind::OnlineHd, faults::flip_bits);
-impl_hdc_model!(BoostHd, PayloadKind::BoostHd, faults::flip_bits);
-impl_hdc_model!(Single<M> where M: ClassMemory, M::SINGLE, Single::inject_bitflips);
-impl_hdc_model!(Ensemble<M> where M: ClassMemory, M::ENSEMBLE, Ensemble::inject_bitflips);
+impl_hdc_model!(OnlineHd, PayloadKind::OnlineHd);
+impl_hdc_model!(BoostHd, PayloadKind::BoostHd);
+impl_hdc_model!(Single<M> where M: ClassMemory, M::SINGLE);
+impl_hdc_model!(Ensemble<M> where M: ClassMemory, M::ENSEMBLE);
 
 /// Builder the `baselines` crate registers so [`Pipeline::fit`] can
 /// construct [`ModelSpec::Baseline`] models without a dependency cycle

@@ -16,10 +16,10 @@
 //! are both bounded by the sign rounding — the packed arithmetic itself is
 //! exact (see `hdc::ops::packed_similarity`).
 //!
-//! For fault-injection studies the packed models implement
-//! [`faults::PerturbablePacked`]: bit flips land directly on the
-//! stored `u64` words, a more faithful single-event-upset model for 1-bit
-//! memories than f32 mantissa flips.
+//! For fault-injection studies the packed memories list their words as
+//! packed sign rows ([`faults::StoredBits::Signs`]): bit flips land
+//! directly on the stored `u64` words, a more faithful single-event-upset
+//! model for 1-bit memories than f32 mantissa flips.
 //!
 //! # Quantization-aware refit
 //!
@@ -34,14 +34,14 @@
 
 use crate::boost::BoostHd;
 use crate::error::Result;
-use crate::frozen::{ClassMemory, Ensemble, Single, Stores};
+use crate::frozen::{ClassMemory, Ensemble, Single};
 use crate::online::OnlineHd;
 use crate::persist::{Reader, Writer};
 use crate::pipeline::PayloadKind;
 use crate::CentroidHd;
-use faults::{BitflipReport, PerturbablePacked};
+use faults::StoredBits;
 use hdc::backend::{PackedHv, PackedMatrix};
-use linalg::{Matrix, Rng64};
+use linalg::Matrix;
 
 /// A frozen single-learner HDC classifier with bitpacked class
 /// hypervectors (quantized [`OnlineHd`] or [`CentroidHd`]).
@@ -87,8 +87,14 @@ impl ClassMemory for PackedMatrix {
         std::mem::size_of_val(self.as_words())
     }
 
-    fn inject_bitflips(memories: Vec<&mut Self>, p_b: f64, rng: &mut Rng64) -> BitflipReport {
-        faults::flip_sign_bits(&mut Stores(memories), p_b, rng)
+    /// One store for all memories: an ensemble's sign rows are walked as
+    /// one run of valid bits.
+    fn stored_bits<'a>(memories: Vec<&'a mut Self>) -> Vec<Vec<StoredBits<'a>>> {
+        let rows = memories.into_iter().map(|m| StoredBits::Signs {
+            dim: m.dim(),
+            words: m.as_words_mut(),
+        });
+        vec![rows.collect()]
     }
 
     fn put(&self, w: &mut Writer) {
@@ -97,53 +103,6 @@ impl ClassMemory for PackedMatrix {
 
     fn get(r: &mut Reader<'_>) -> Result<Self> {
         r.get_packed_matrix()
-    }
-}
-
-/// Flips valid (non-padding) bit `index` of a sequence of packed
-/// matrices, where bits are numbered row-major over each `rows × dim`
-/// grid in turn.
-fn flip_packed_bit<'a>(memories: impl IntoIterator<Item = &'a mut PackedMatrix>, mut index: u64) {
-    for m in memories {
-        if index < m.bit_count() {
-            let dim = m.dim() as u64;
-            let (row, offset) = ((index / dim) as usize, (index % dim) as usize);
-            let words_per_row = m.as_words().len() / m.rows();
-            m.as_words_mut()[row * words_per_row + offset / 64] ^= 1u64 << (offset % 64);
-            return;
-        }
-        index -= m.bit_count();
-    }
-    panic!("packed bit index out of range");
-}
-
-impl PerturbablePacked for Stores<'_, PackedMatrix> {
-    fn packed_bit_count(&self) -> u64 {
-        self.0.iter().map(|m| m.bit_count()).sum()
-    }
-
-    fn flip_packed_bit(&mut self, index: u64) {
-        flip_packed_bit(self.0.iter_mut().map(|m| &mut **m), index);
-    }
-}
-
-impl PerturbablePacked for QuantizedHd {
-    fn packed_bit_count(&self) -> u64 {
-        self.memory.bit_count()
-    }
-
-    fn flip_packed_bit(&mut self, index: u64) {
-        flip_packed_bit([&mut self.memory], index);
-    }
-}
-
-impl PerturbablePacked for QuantizedBoostHd {
-    fn packed_bit_count(&self) -> u64 {
-        self.learners.iter().map(|l| l.memory.bit_count()).sum()
-    }
-
-    fn flip_packed_bit(&mut self, index: u64) {
-        flip_packed_bit(self.learners.iter_mut().map(|l| &mut l.memory), index);
     }
 }
 
@@ -229,8 +188,8 @@ mod tests {
     use crate::boost::BoostHdConfig;
     use crate::classifier::Classifier;
     use crate::online::OnlineHdConfig;
-    use faults::flip_sign_bits;
     use hdc::encoder::SinusoidEncoder;
+    use linalg::Rng64;
 
     fn blobs(n: usize, seed: u64, sep: f32, noise: f32) -> (Matrix, Vec<usize>) {
         let mut rng = Rng64::seed_from(seed);
@@ -461,7 +420,7 @@ mod tests {
         let mut quantized = BoostHd::fit(&config, &x, &y).unwrap().quantize();
         let before = quantized.clone();
         let mut rng = Rng64::seed_from(0);
-        let report = flip_sign_bits(&mut quantized, 0.02, &mut rng);
+        let report = quantized.flip_stored_bits(0.02, &mut rng);
         assert!(report.flipped > 0);
         // Flips must change stored words but keep every padding bit clear
         // (from_parts round-trip would reject set padding).
@@ -495,7 +454,7 @@ mod tests {
         let clean = accuracy(&quantized, &x, &y);
         let mut corrupted = quantized.clone();
         let mut rng = Rng64::seed_from(3);
-        flip_sign_bits(&mut corrupted, 1e-3, &mut rng);
+        corrupted.flip_stored_bits(1e-3, &mut rng);
         let faulty = accuracy(&corrupted, &x, &y);
         assert!(
             faulty > clean - 0.05,

@@ -29,7 +29,7 @@
 //! This module is the [`ClassMemory`] impl for [`I8Rows`]; the frozen
 //! shapes over it are [`QuantizedI8Hd`] and [`QuantizedI8BoostHd`]
 //! ([`crate::frozen`]). Bit-flip injection lands on the two's-complement
-//! byte encoding of stored components ([`faults::flip_i8_bits`]) — the
+//! byte encoding of stored components ([`faults::StoredBits::I8`]) — the
 //! faithful single-event-upset model for int8 weight memories, where one
 //! upset perturbs one component by a power of two instead of an f32
 //! exponent blow-up — and re-derives the norms afterwards, as a deployed
@@ -46,15 +46,15 @@
 
 use crate::boost::BoostHd;
 use crate::error::{BoostHdError, Result};
-use crate::frozen::{ClassMemory, Ensemble, Single, Stores};
+use crate::frozen::{ClassMemory, Ensemble, Single};
 use crate::online::OnlineHd;
 use crate::persist::{Reader, Writer};
 use crate::pipeline::PayloadKind;
 use crate::CentroidHd;
-use faults::{BitflipReport, PerturbableI8};
+use faults::StoredBits;
 use linalg::kernels::dot_i8;
 use linalg::matrix::norm;
-use linalg::{Matrix, Rng64};
+use linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Symmetric per-row quantizer: fills `out` with
@@ -209,13 +209,17 @@ impl ClassMemory for I8Rows {
         self.data.len() + self.scales.len() * std::mem::size_of::<f32>()
     }
 
-    fn inject_bitflips(memories: Vec<&mut Self>, p_b: f64, rng: &mut Rng64) -> BitflipReport {
-        let mut stores = Stores(memories);
-        let report = faults::flip_i8_bits(&mut stores, p_b, rng);
-        for rows in stores.0 {
-            rows.refresh_inv_qnorms();
-        }
-        report
+    /// One store per memory: the byte grid (the per-row scales are
+    /// metadata, not per-dimension memory).
+    fn stored_bits<'a>(memories: Vec<&'a mut Self>) -> Vec<Vec<StoredBits<'a>>> {
+        memories
+            .into_iter()
+            .map(|m| vec![StoredBits::I8(&mut m.data)])
+            .collect()
+    }
+
+    fn refresh(&mut self) {
+        self.refresh_inv_qnorms();
     }
 
     fn put(&self, w: &mut Writer) {
@@ -236,12 +240,6 @@ impl ClassMemory for I8Rows {
             });
         }
         I8Rows::from_parts(data, scales, cols)
-    }
-}
-
-impl PerturbableI8 for Stores<'_, I8Rows> {
-    fn i8_buffers_mut(&mut self) -> Vec<&mut [i8]> {
-        self.0.iter_mut().map(|m| m.data.as_mut_slice()).collect()
     }
 }
 
@@ -389,6 +387,7 @@ mod tests {
     use crate::classifier::Classifier;
     use crate::online::OnlineHdConfig;
     use hdc::encoder::Encode;
+    use linalg::Rng64;
 
     fn blobs(n: usize, seed: u64, sep: f32, noise: f32) -> (Matrix, Vec<usize>) {
         let mut rng = Rng64::seed_from(seed);
@@ -652,7 +651,7 @@ mod tests {
         let mut quantized = BoostHd::fit(&config, &x, &y).unwrap().quantize_i8();
         let before = quantized.clone();
         let mut rng = Rng64::seed_from(0);
-        let report = quantized.inject_bitflips(0.01, &mut rng);
+        let report = quantized.flip_stored_bits(0.01, &mut rng);
         assert!(report.flipped > 0);
         let changed = (0..quantized.num_learners())
             .any(|i| quantized.learners[i].memory.data() != before.learners[i].memory.data());
@@ -675,7 +674,7 @@ mod tests {
         let clean = accuracy(&quantized, &x, &y);
         let mut corrupted = quantized.clone();
         let mut rng = Rng64::seed_from(3);
-        corrupted.inject_bitflips(1e-4, &mut rng);
+        corrupted.flip_stored_bits(1e-4, &mut rng);
         let faulty = accuracy(&corrupted, &x, &y);
         assert!(
             faulty > clean - 0.05,

@@ -377,15 +377,19 @@ fn parse_value(s: &str) -> std::result::Result<TomlValue, String> {
         let items = inner
             .split(',')
             .map(|item| {
-                parse_value(item.trim()).and_then(|v| match v {
+                let item = item.trim();
+                let not_a_number =
+                    |got: &str| format!("array element `{item}` must be a number, got a {got}");
+                // Arrays are flat: a nested one is rejected without
+                // recursing, so bracket depth cannot exhaust the stack.
+                if item.starts_with('[') {
+                    return Err(not_a_number("nested array"));
+                }
+                parse_value(item).and_then(|v| match v {
                     TomlValue::Int(i) => Ok(ArrayItem::Int(i)),
                     TomlValue::U64(u) => Ok(ArrayItem::Float(u as f64)),
                     TomlValue::Float(f) => Ok(ArrayItem::Float(f)),
-                    other => Err(format!(
-                        "array element `{}` must be a number, got a {}",
-                        item.trim(),
-                        other.type_name()
-                    )),
+                    other => Err(not_a_number(other.type_name())),
                 })
             })
             .collect::<std::result::Result<Vec<ArrayItem>, String>>()?;
@@ -518,6 +522,18 @@ impl TomlWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deeply_nested_array_is_rejected_without_recursing() {
+        let depth = 100_000;
+        let value = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        let err = TomlDoc::parse(&format!("[model]\nhidden = {value}\n")).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("must be a number, got a nested array"),
+            "{msg}"
+        );
+    }
 
     #[test]
     fn parses_tables_keys_and_types() {

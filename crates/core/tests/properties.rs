@@ -2,10 +2,10 @@
 //! for any seed, any (sane) configuration, and any label layout.
 
 use boosthd::boost::EnsembleMode;
+use boosthd::pipeline::Model;
 use boosthd::{
     BoostHd, BoostHdConfig, CentroidHd, CentroidHdConfig, Classifier, OnlineHd, OnlineHdConfig,
 };
-use faults::{flip_bits, flip_sign_bits, Perturbable, PerturbablePacked};
 use linalg::{Matrix, Rng64};
 use proptest::prelude::*;
 
@@ -209,10 +209,10 @@ mod batch_row_equivalence {
             let mut q_online = online.quantize();
 
             let mut rng = Rng64::seed_from(seed ^ 0xF11);
-            flip_bits(&mut boost, p_b, &mut rng);
-            flip_bits(&mut online, p_b, &mut rng);
-            flip_sign_bits(&mut packed, p_b, &mut rng);
-            flip_sign_bits(&mut q_online, p_b, &mut rng);
+            boost.inject_bitflips(p_b, &mut rng).unwrap();
+            online.inject_bitflips(p_b, &mut rng).unwrap();
+            packed.inject_bitflips(p_b, &mut rng).unwrap();
+            q_online.inject_bitflips(p_b, &mut rng).unwrap();
 
             let models: [(&str, &dyn Classifier); 4] = [
                 ("BoostHd+flips", &boost),
@@ -268,9 +268,11 @@ mod batch_row_equivalence {
             &y,
         )
         .unwrap();
-        let mut m = online.clone();
-        assert_eq!(m.param_count(), 3 * 64);
-        assert_eq!(online.quantize().packed_bit_count(), 3 * 64);
+        let mut rng = Rng64::seed_from(0);
+        let report = online.clone().inject_bitflips(0.0, &mut rng).unwrap();
+        assert_eq!(report.words, 3 * 64);
+        let report = online.quantize().inject_bitflips(1.0, &mut rng).unwrap();
+        assert_eq!(report.flipped, 3 * 64, "every valid sign bit, no padding");
     }
 }
 

@@ -5,25 +5,27 @@
 //! models this as an independent Bernoulli(`p_b`) flip per bit of every
 //! stored parameter word and measures accuracy degradation as `p_b` grows.
 //!
-//! Two storage models are supported:
+//! A model lists the buffers it stores as [`StoredBits`], grouped into
+//! stores, and [`flip_stored_bits`] walks them. Three storage layouts are
+//! supported:
 //!
-//! * **f32 parameters** ([`Perturbable`] / [`flip_bits`]) — injection
-//!   operates on the IEEE-754 bit patterns, so a flip can hit the sign,
-//!   exponent, or mantissa. Exponent hits are what make DNNs
-//!   catastrophically sensitive, while HDC's similarity voting absorbs
-//!   them.
-//! * **Packed sign bits** ([`PerturbablePacked`] / [`flip_sign_bits`]) —
-//!   for bitpacked binary-HDC models every stored bit *is* one hypervector
-//!   component, so flips land directly on the `u64` words. This is the
-//!   faithful SEU model for 1-bit associative memories: there is no
-//!   exponent to corrupt, and a single upset perturbs one similarity by
-//!   exactly `2/D`.
+//! * **f32 words** — a flip can hit the IEEE-754 sign, exponent, or
+//!   mantissa. Exponent hits are what make DNNs catastrophically
+//!   sensitive, while HDC's similarity voting absorbs them.
+//! * **i8 bytes** — int8-quantized class rows; a flip moves one component
+//!   by a power of two, or negates it at bit 7.
+//! * **Packed sign rows** — for bitpacked binary-HDC models every stored
+//!   bit *is* one hypervector component, so flips land directly on the
+//!   `u64` words. This is the faithful SEU model for 1-bit associative
+//!   memories: there is no exponent to corrupt, and a single upset perturbs
+//!   one similarity by exactly `2/D`.
 //!
 //! **Determinism contract.** Flip positions are a pure function of
-//! `(total_bits, p_b, rng seed)`: the geometric-gap walk consumes one
-//! uniform draw per flip from the caller's [`Rng64`] and nothing else, so
-//! re-running an injection with the same seed corrupts the same bits in
-//! the same order, regardless of thread count or kernel dispatch level.
+//! `(store sizes, p_b, rng seed)`: the geometric-gap walk consumes one
+//! uniform draw per flip (plus one overshooting draw per store) from the
+//! caller's [`Rng64`] and nothing else, so re-running an injection with the
+//! same seed corrupts the same bits in the same order, regardless of
+//! thread count or kernel dispatch level.
 
 use linalg::Rng64;
 use serde::{Deserialize, Serialize};
@@ -31,50 +33,112 @@ use serde::{Deserialize, Serialize};
 /// Summary of one injection pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BitflipReport {
-    /// Number of parameter words visited.
+    /// Number of parameter words visited: f32 words, i8 bytes, and the
+    /// `⌈bits/64⌉` 64-bit words a store's valid sign bits fill.
     pub words: usize,
     /// Number of individual bits flipped.
     pub flipped: usize,
 }
 
-impl BitflipReport {
-    /// Merges two reports (used when a model spans several buffers).
-    pub fn merge(self, other: BitflipReport) -> BitflipReport {
-        BitflipReport {
-            words: self.words + other.words,
-            flipped: self.flipped + other.flipped,
+/// One stored parameter buffer, typed by the layout its bits are flipped
+/// in.
+#[derive(Debug)]
+pub enum StoredBits<'a> {
+    /// IEEE-754 words.
+    F32(&'a mut [f32]),
+    /// Two's-complement bytes. Flips can produce `-128` (`0x80`), a value
+    /// the quantizer never emits; the integer kernels accept it in stored
+    /// class rows (see `linalg::kernels::dot_i8`).
+    I8(&'a mut [i8]),
+    /// Row-major packed sign rows of `dim` valid bits each, every row
+    /// padded to `⌈dim/64⌉` words. Padding bits are never flipped.
+    Signs {
+        /// The packed words.
+        words: &'a mut [u64],
+        /// Valid bits per row.
+        dim: usize,
+    },
+}
+
+impl StoredBits<'_> {
+    /// Number of flippable bits.
+    fn bit_count(&self) -> u64 {
+        match self {
+            StoredBits::F32(w) => w.len() as u64 * 32,
+            StoredBits::I8(b) => b.len() as u64 * 8,
+            StoredBits::Signs { words, dim } => {
+                (words.len().checked_div(dim.div_ceil(64)).unwrap_or(0) * dim) as u64
+            }
+        }
+    }
+
+    /// Flips flippable bit `bit`, numbered word by word (row by row for
+    /// sign rows) from the least significant bit.
+    fn flip(&mut self, bit: u64) {
+        match self {
+            StoredBits::F32(w) => {
+                let word = &mut w[(bit / 32) as usize];
+                *word = f32::from_bits(word.to_bits() ^ (1 << (bit % 32)));
+            }
+            StoredBits::I8(b) => b[(bit / 8) as usize] ^= 1 << (bit % 8),
+            StoredBits::Signs { words, dim } => {
+                let dim = *dim as u64;
+                let (row, offset) = (bit / dim, bit % dim);
+                words[(row * dim.div_ceil(64) + offset / 64) as usize] ^= 1 << (offset % 64);
+            }
         }
     }
 }
 
-/// Models whose trained parameters can be exposed for fault injection.
+/// Flips each bit of every store independently with probability `p_b`,
+/// in place — the single-event-upset model of Figure 8.
 ///
-/// Implementors return every learned `f32` buffer (class hypervectors,
-/// tree thresholds, layer weights, ...). The injector walks each buffer and
-/// flips bits in place.
-pub trait Perturbable {
-    /// Mutable views over all learned parameter buffers.
-    fn param_buffers_mut(&mut self) -> Vec<&mut [f32]>;
-
-    /// Total number of learned parameters.
-    fn param_count(&mut self) -> usize {
-        self.param_buffers_mut().iter().map(|b| b.len()).sum()
+/// Each store is a list of buffers whose bits are numbered in order as one
+/// run and walked once. For the tiny probabilities the paper sweeps
+/// (`10⁻⁶ … 10⁻⁴`), sampling a Bernoulli per bit would be wasteful;
+/// instead flip positions are walked via geometric gaps
+/// (`gap ~ ⌊ln U / ln(1−p)⌋` non-flipped bits before the next flip), which
+/// draws from the exact binomial in O(flips). Grouping matters: two
+/// buffers walked as one store draw different positions than the same
+/// buffers walked as two.
+///
+/// `p_b >= 1` flips every bit without drawing; a `p_b` that is not
+/// positive (NaN included) flips nothing and draws nothing.
+pub fn flip_stored_bits<'a>(
+    stores: impl IntoIterator<Item = Vec<StoredBits<'a>>>,
+    p_b: f64,
+    rng: &mut Rng64,
+) -> BitflipReport {
+    let mut report = BitflipReport::default();
+    for mut store in stores {
+        let (mut words, mut sign_bits) = (0, 0);
+        for buffer in &store {
+            match buffer {
+                StoredBits::F32(w) => words += w.len(),
+                StoredBits::I8(b) => words += b.len(),
+                StoredBits::Signs { .. } => sign_bits += buffer.bit_count(),
+            }
+        }
+        report.words += words + sign_bits.div_ceil(64) as usize;
+        let total_bits = store.iter().map(StoredBits::bit_count).sum();
+        // Flip positions only grow, so a cursor finds each one's buffer.
+        let (mut buffer, mut start) = (0, 0);
+        report.flipped += for_each_flip(total_bits, p_b, rng, |pos| {
+            while pos - start >= store[buffer].bit_count() {
+                start += store[buffer].bit_count();
+                buffer += 1;
+            }
+            store[buffer].flip(pos - start);
+        });
     }
+    report
 }
 
 /// Visits each of `total_bits` positions independently with probability
-/// `p_b`, calling `flip(pos)` for every hit, and returns the hit count.
-///
-/// For the tiny probabilities the paper sweeps (`10⁻⁶ … 10⁻⁴`), sampling a
-/// Bernoulli per bit would be wasteful; instead flip positions are walked
-/// via geometric gaps (`gap ~ ⌊ln U / ln(1−p)⌋` non-flipped bits before the
-/// next flip), which draws from the exact binomial in O(flips).
-///
-/// `p_b >= 1` degenerates to flipping every position. Shared by the f32
-/// and packed-sign injectors so both storage models corrupt identically
-/// per seed.
+/// `p_b`, calling `flip(pos)` for every hit in increasing order, and
+/// returns the hit count. See [`flip_stored_bits`] for the scheme.
 fn for_each_flip(total_bits: u64, p_b: f64, rng: &mut Rng64, mut flip: impl FnMut(u64)) -> usize {
-    if total_bits == 0 || p_b <= 0.0 {
+    if total_bits == 0 || p_b.is_nan() || p_b <= 0.0 {
         return 0;
     }
     if p_b >= 1.0 {
@@ -87,15 +151,8 @@ fn for_each_flip(total_bits: u64, p_b: f64, rng: &mut Rng64, mut flip: impl FnMu
     let mut flipped = 0usize;
     let mut pos: u64 = 0;
     loop {
-        let u: f64 = {
-            // Avoid ln(0).
-            let v = rng.uniform() as f64;
-            if v <= f64::MIN_POSITIVE {
-                f64::MIN_POSITIVE
-            } else {
-                v
-            }
-        };
+        // Avoid ln(0).
+        let u = (rng.uniform() as f64).max(f64::MIN_POSITIVE);
         let gap = (u.ln() / ln_keep).floor() as u64;
         pos = pos.saturating_add(gap);
         if pos >= total_bits {
@@ -111,173 +168,133 @@ fn for_each_flip(total_bits: u64, p_b: f64, rng: &mut Rng64, mut flip: impl FnMu
     flipped
 }
 
-/// Flips each bit of each word in `params` independently with probability
-/// `p_b`, in place. See `for_each_flip` for the sampling scheme.
-pub fn flip_bits_in(params: &mut [f32], p_b: f64, rng: &mut Rng64) -> BitflipReport {
-    let words = params.len();
-    let total_bits = (words as u64) * 32;
-    let flipped = for_each_flip(total_bits, p_b, rng, |pos| {
-        let word = (pos / 32) as usize;
-        let bit = (pos % 32) as u32;
-        params[word] = f32::from_bits(params[word].to_bits() ^ (1u32 << bit));
-    });
-    BitflipReport { words, flipped }
-}
-
-/// Models whose trained parameters live as packed hypervector sign bits.
-///
-/// Bit indices run over the model's *valid* stored bits only (padding
-/// words in the packed representation are not addressable), so an injected
-/// flip always lands on a real hypervector component.
-pub trait PerturbablePacked {
-    /// Total number of stored sign bits.
-    fn packed_bit_count(&self) -> u64;
-
-    /// Flips stored sign bit `index`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `index >= self.packed_bit_count()`.
-    fn flip_packed_bit(&mut self, index: u64);
-}
-
-/// Flips each stored sign bit of a [`PerturbablePacked`] model
-/// independently with probability `p_b` — the single-event-upset model for
-/// 1-bit associative memories.
-///
-/// The report's `words` field counts 64-bit storage words (`⌈bits/64⌉`),
-/// mirroring [`flip_bits`]'s word accounting.
-pub fn flip_sign_bits<M: PerturbablePacked + ?Sized>(
-    model: &mut M,
-    p_b: f64,
-    rng: &mut Rng64,
-) -> BitflipReport {
-    let total_bits = model.packed_bit_count();
-    let flipped = for_each_flip(total_bits, p_b, rng, |pos| model.flip_packed_bit(pos));
-    BitflipReport {
-        words: total_bits.div_ceil(64) as usize,
-        flipped,
-    }
-}
-
-/// Models whose trained parameters live as scaled `i8` words.
-///
-/// The storage model for integer-quantized HDC: every learned parameter is
-/// one signed byte (plus a handful of per-row f32 scales, which are
-/// metadata rather than per-dimension memory and are not exposed here).
-/// Injection flips bits of the two's-complement byte encoding, so a single
-/// upset perturbs one component by a power of two — including the sign bit
-/// at position 7.
-pub trait PerturbableI8 {
-    /// Mutable views over all learned `i8` parameter buffers.
-    fn i8_buffers_mut(&mut self) -> Vec<&mut [i8]>;
-}
-
-/// Flips each bit of each `i8` word in `params` independently with
-/// probability `p_b`, in place. The report's `words` field counts bytes.
-///
-/// Flips can produce `-128` (`0x80`), a value the quantizer itself never
-/// emits; the integer kernels accept it in stored class rows (see
-/// `linalg::kernels::dot_i8`), so corrupted models still score exactly.
-pub fn flip_i8_bits_in(params: &mut [i8], p_b: f64, rng: &mut Rng64) -> BitflipReport {
-    let words = params.len();
-    let total_bits = (words as u64) * 8;
-    let flipped = for_each_flip(total_bits, p_b, rng, |pos| {
-        let word = (pos / 8) as usize;
-        let bit = (pos % 8) as u32;
-        params[word] = (params[word] as u8 ^ (1u8 << bit)) as i8;
-    });
-    BitflipReport { words, flipped }
-}
-
-/// Applies [`flip_i8_bits_in`] to every parameter buffer of a
-/// [`PerturbableI8`] model, returning the merged report.
-pub fn flip_i8_bits<M: PerturbableI8 + ?Sized>(
-    model: &mut M,
-    p_b: f64,
-    rng: &mut Rng64,
-) -> BitflipReport {
-    let mut report = BitflipReport::default();
-    for buffer in model.i8_buffers_mut() {
-        report = report.merge(flip_i8_bits_in(buffer, p_b, rng));
-    }
-    report
-}
-
-/// Applies [`flip_bits_in`] to every parameter buffer of a [`Perturbable`]
-/// model, returning the merged report.
-pub fn flip_bits<M: Perturbable + ?Sized>(
-    model: &mut M,
-    p_b: f64,
-    rng: &mut Rng64,
-) -> BitflipReport {
-    let mut report = BitflipReport::default();
-    for buffer in model.param_buffers_mut() {
-        report = report.merge(flip_bits_in(buffer, p_b, rng));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct ToyModel {
-        a: Vec<f32>,
-        b: Vec<f32>,
+    /// Valid bits per packed test row: not a multiple of 64, so every row
+    /// has padding.
+    const DIM: usize = 100;
+
+    /// An owned buffer of kind 0 (f32), 1 (i8) or 2 (sign rows), standing
+    /// in for a model's storage.
+    #[derive(Debug, PartialEq)]
+    enum Buffer {
+        F32(Vec<f32>),
+        I8(Vec<i8>),
+        Signs(Vec<u64>),
     }
 
-    impl Perturbable for ToyModel {
-        fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-            vec![&mut self.a, &mut self.b]
+    /// `n` all-zero stored words (rows, for sign rows) of `kind`.
+    fn zeros(kind: usize, n: usize) -> Buffer {
+        match kind {
+            0 => Buffer::F32(vec![0.0; n]),
+            1 => Buffer::I8(vec![0; n]),
+            _ => Buffer::Signs(vec![0; n * DIM.div_ceil(64)]),
         }
     }
 
-    #[test]
-    fn zero_probability_flips_nothing() {
-        let mut params = vec![1.5f32; 100];
-        let mut rng = Rng64::seed_from(0);
-        let report = flip_bits_in(&mut params, 0.0, &mut rng);
-        assert_eq!(report.flipped, 0);
-        assert!(params.iter().all(|&p| p == 1.5));
-    }
-
-    #[test]
-    fn probability_one_flips_every_bit() {
-        let mut params = vec![0.0f32; 4];
-        let mut rng = Rng64::seed_from(0);
-        let report = flip_bits_in(&mut params, 1.0, &mut rng);
-        assert_eq!(report.flipped, 128);
-        // All bits of 0.0 flipped = all-ones pattern = NaN.
-        assert!(params.iter().all(|p| p.is_nan()));
-    }
-
-    #[test]
-    fn flip_count_matches_expectation() {
-        let mut rng = Rng64::seed_from(42);
-        let p_b = 1e-3;
-        let words = 50_000;
-        let mut total = 0usize;
-        let trials = 20;
-        for _ in 0..trials {
-            let mut params = vec![1.0f32; words];
-            total += flip_bits_in(&mut params, p_b, &mut rng).flipped;
+    impl Buffer {
+        fn stored(&mut self) -> StoredBits<'_> {
+            match self {
+                Buffer::F32(w) => StoredBits::F32(w),
+                Buffer::I8(b) => StoredBits::I8(b),
+                Buffer::Signs(words) => StoredBits::Signs { words, dim: DIM },
+            }
         }
-        let expected = (words as f64) * 32.0 * p_b * trials as f64;
-        let observed = total as f64;
+
+        fn flip(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+            flip_stored_bits([vec![self.stored()]], p_b, rng)
+        }
+
+        /// The stored bit patterns, for comparisons that NaN would spoil.
+        fn bits(&self) -> Vec<u64> {
+            match self {
+                Buffer::F32(w) => w.iter().map(|v| u64::from(v.to_bits())).collect(),
+                Buffer::I8(b) => b.iter().map(|&v| u64::from(v as u8)).collect(),
+                Buffer::Signs(words) => words.clone(),
+            }
+        }
+    }
+
+    /// Runs `$check` on each buffer kind, as one named test per kind.
+    macro_rules! per_kind {
+        ($check:ident: $f32:ident, $i8:ident, $signs:ident) => {
+            #[test]
+            fn $f32() {
+                $check(0);
+            }
+            #[test]
+            fn $i8() {
+                $check(1);
+            }
+            #[test]
+            fn $signs() {
+                $check(2);
+            }
+        };
+    }
+
+    per_kind!(zero_probability:
+        zero_probability_flips_nothing,
+        i8_zero_probability_flips_nothing,
+        sign_flip_zero_probability_is_identity);
+    per_kind!(probability_one:
+        probability_one_flips_every_bit,
+        i8_probability_one_inverts_every_byte,
+        sign_flip_probability_one_negates_every_valid_bit);
+    per_kind!(count_matches_expectation:
+        flip_count_matches_expectation,
+        i8_flip_count_matches_expectation,
+        sign_flip_count_matches_expectation);
+    per_kind!(deterministic_per_seed:
+        flips_are_deterministic_per_seed,
+        i8_flips_are_deterministic_per_seed,
+        sign_flips_are_deterministic_per_seed);
+
+    fn zero_probability(kind: usize) {
+        for p_b in [0.0, -1.0, f64::NAN] {
+            let mut buffer = zeros(kind, 40);
+            let mut rng = Rng64::seed_from(0);
+            assert_eq!(buffer.flip(p_b, &mut rng).flipped, 0, "p_b {p_b}");
+            assert_eq!(buffer, zeros(kind, 40), "p_b {p_b}");
+            let untouched = Rng64::seed_from(0).uniform();
+            assert_eq!(rng.uniform(), untouched, "p_b {p_b} must draw nothing");
+        }
+    }
+
+    fn probability_one(kind: usize) {
+        let mut buffer = zeros(kind, 4);
+        let report = buffer.flip(1.0, &mut Rng64::seed_from(0));
+        assert_eq!(report.flipped, [128, 32, 4 * DIM][kind]);
+        assert_eq!(report.words, [4, 4, (4 * DIM).div_ceil(64)][kind]);
+        // Exactly the valid bits flipped: for sign rows, no padding.
+        let ones = [
+            &[0xFFFF_FFFF][..],
+            &[0xFF],
+            &[u64::MAX, (1 << (DIM - 64)) - 1],
+        ];
+        assert_eq!(buffer.bits(), ones[kind].repeat(4));
+    }
+
+    fn count_matches_expectation(kind: usize) {
+        let mut rng = Rng64::seed_from(42 + kind as u64);
+        let (p_b, n, trials) = (1e-3, [50_000, 200_000, 16_000][kind], 20);
+        let total: usize = (0..trials)
+            .map(|_| zeros(kind, n).flip(p_b, &mut rng).flipped)
+            .sum();
+        let expected = (n * [32, 8, DIM][kind]) as f64 * p_b * trials as f64;
         assert!(
-            (observed - expected).abs() < 0.15 * expected,
-            "observed {observed} vs expected {expected}"
+            (total as f64 - expected).abs() < 0.15 * expected,
+            "observed {total} vs expected {expected}"
         );
     }
 
-    #[test]
-    fn flips_are_deterministic_per_seed() {
+    fn deterministic_per_seed(kind: usize) {
         let run = |seed: u64| {
-            let mut params = vec![2.5f32; 1000];
-            let mut rng = Rng64::seed_from(seed);
-            flip_bits_in(&mut params, 1e-3, &mut rng);
-            params
+            let mut buffer = zeros(kind, 1000);
+            buffer.flip(1e-2, &mut Rng64::seed_from(seed));
+            buffer.bits()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -294,180 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn perturbable_walks_all_buffers() {
-        let mut model = ToyModel {
-            a: vec![1.0; 512],
-            b: vec![2.0; 512],
-        };
-        let mut rng = Rng64::seed_from(9);
-        let report = flip_bits(&mut model, 0.01, &mut rng);
-        assert_eq!(report.words, 1024);
-        assert!(report.flipped > 0);
-        let a_changed = model.a.iter().any(|&x| x != 1.0);
-        let b_changed = model.b.iter().any(|&x| x != 2.0);
-        assert!(
-            a_changed && b_changed,
-            "both buffers should be hit at p_b=1%"
-        );
-    }
-
-    #[test]
-    fn param_count_sums_buffers() {
-        let mut model = ToyModel {
-            a: vec![0.0; 3],
-            b: vec![0.0; 5],
-        };
-        assert_eq!(model.param_count(), 8);
-    }
-
-    #[test]
-    fn empty_buffer_is_fine() {
-        let mut params: Vec<f32> = Vec::new();
-        let mut rng = Rng64::seed_from(1);
-        let report = flip_bits_in(&mut params, 0.5, &mut rng);
-        assert_eq!(report.flipped, 0);
-    }
-
-    /// A toy packed model: 200 valid bits across a plain word buffer.
-    struct ToyPacked {
-        words: Vec<u64>,
-        bits: u64,
-    }
-
-    impl PerturbablePacked for ToyPacked {
-        fn packed_bit_count(&self) -> u64 {
-            self.bits
-        }
-
-        fn flip_packed_bit(&mut self, index: u64) {
-            assert!(index < self.bits, "index {index} out of {}", self.bits);
-            self.words[(index / 64) as usize] ^= 1u64 << (index % 64);
-        }
-    }
-
-    #[test]
-    fn sign_flip_zero_probability_is_identity() {
-        let mut model = ToyPacked {
-            words: vec![0xABCD; 4],
-            bits: 200,
-        };
-        let mut rng = Rng64::seed_from(0);
-        let report = flip_sign_bits(&mut model, 0.0, &mut rng);
-        assert_eq!(report.flipped, 0);
-        assert_eq!(model.words, vec![0xABCD; 4]);
-    }
-
-    #[test]
-    fn sign_flip_probability_one_negates_every_valid_bit() {
-        let mut model = ToyPacked {
-            words: vec![0; 4],
-            bits: 200,
-        };
-        let mut rng = Rng64::seed_from(0);
-        let report = flip_sign_bits(&mut model, 1.0, &mut rng);
-        assert_eq!(report.flipped, 200);
-        assert_eq!(report.words, 4, "⌈200/64⌉ storage words");
-        let set: u32 = model.words.iter().map(|w| w.count_ones()).sum();
-        assert_eq!(set, 200, "exactly the valid bits flipped, no padding");
-    }
-
-    #[test]
-    fn sign_flip_count_matches_expectation() {
-        let mut rng = Rng64::seed_from(7);
-        let p_b = 1e-3;
-        let bits = 1_600_000u64;
-        let mut total = 0usize;
-        let trials = 10;
-        for _ in 0..trials {
-            let mut model = ToyPacked {
-                words: vec![0; (bits / 64) as usize],
-                bits,
-            };
-            total += flip_sign_bits(&mut model, p_b, &mut rng).flipped;
-        }
-        let expected = bits as f64 * p_b * trials as f64;
-        assert!(
-            (total as f64 - expected).abs() < 0.15 * expected,
-            "observed {total} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn sign_flips_are_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut model = ToyPacked {
-                words: vec![u64::MAX; 8],
-                bits: 512,
-            };
-            let mut rng = Rng64::seed_from(seed);
-            flip_sign_bits(&mut model, 1e-2, &mut rng);
-            model.words
-        };
-        assert_eq!(run(3), run(3));
-        assert_ne!(run(3), run(4));
-    }
-
-    struct ToyI8 {
-        rows: Vec<i8>,
-    }
-
-    impl PerturbableI8 for ToyI8 {
-        fn i8_buffers_mut(&mut self) -> Vec<&mut [i8]> {
-            vec![&mut self.rows]
-        }
-    }
-
-    #[test]
-    fn i8_zero_probability_flips_nothing() {
-        let mut model = ToyI8 { rows: vec![7; 64] };
-        let mut rng = Rng64::seed_from(0);
-        let report = flip_i8_bits(&mut model, 0.0, &mut rng);
-        assert_eq!(report.flipped, 0);
-        assert!(model.rows.iter().all(|&v| v == 7));
-    }
-
-    #[test]
-    fn i8_probability_one_inverts_every_byte() {
-        let mut params = vec![0i8; 4];
-        let mut rng = Rng64::seed_from(0);
-        let report = flip_i8_bits_in(&mut params, 1.0, &mut rng);
-        assert_eq!(report.flipped, 32);
-        assert_eq!(report.words, 4);
-        // All 8 bits of 0 flipped = 0xFF = -1 in two's complement.
-        assert!(params.iter().all(|&v| v == -1));
-    }
-
-    #[test]
-    fn i8_flip_count_matches_expectation() {
-        let mut rng = Rng64::seed_from(11);
-        let p_b = 1e-3;
-        let bytes = 200_000;
-        let mut total = 0usize;
-        let trials = 20;
-        for _ in 0..trials {
-            let mut params = vec![1i8; bytes];
-            total += flip_i8_bits_in(&mut params, p_b, &mut rng).flipped;
-        }
-        let expected = (bytes as f64) * 8.0 * p_b * trials as f64;
-        assert!(
-            (total as f64 - expected).abs() < 0.15 * expected,
-            "observed {total} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn i8_flips_are_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut params = vec![42i8; 1000];
-            let mut rng = Rng64::seed_from(seed);
-            flip_i8_bits_in(&mut params, 1e-2, &mut rng);
-            params
-        };
-        assert_eq!(run(5), run(5));
-        assert_ne!(run(5), run(6));
-    }
-
-    #[test]
     fn i8_double_flip_restores_byte() {
         let original = -37i8;
         let once = (original as u8 ^ (1 << 7)) as i8;
@@ -476,17 +319,29 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_adds() {
-        let a = BitflipReport {
-            words: 3,
-            flipped: 1,
-        };
-        let b = BitflipReport {
-            words: 4,
-            flipped: 2,
-        };
-        let m = a.merge(b);
-        assert_eq!(m.words, 7);
-        assert_eq!(m.flipped, 3);
+    fn a_store_walks_its_buffers_as_one_run() {
+        let (p_b, seed) = (1e-2, 9);
+        for kind in 0..3 {
+            let (mut a, mut b, mut joined) = (zeros(kind, 300), zeros(kind, 300), zeros(kind, 600));
+            let one_store = vec![a.stored(), b.stored()];
+            let report = flip_stored_bits([one_store], p_b, &mut Rng64::seed_from(seed));
+            assert_eq!(report, joined.flip(p_b, &mut Rng64::seed_from(seed)));
+            assert_eq!([a.bits(), b.bits()].concat(), joined.bits());
+
+            // Walked as two stores, the second restarts its walk.
+            let (mut c, mut d) = (zeros(kind, 300), zeros(kind, 300));
+            let two_stores = [vec![c.stored()], vec![d.stored()]];
+            flip_stored_bits(two_stores, p_b, &mut Rng64::seed_from(seed));
+            assert_eq!(c.bits(), a.bits());
+            assert_ne!(d.bits(), b.bits());
+        }
+    }
+
+    #[test]
+    fn empty_buffer_is_fine() {
+        for kind in 0..3 {
+            let report = zeros(kind, 0).flip(0.5, &mut Rng64::seed_from(1));
+            assert_eq!(report, BitflipReport::default());
+        }
     }
 }

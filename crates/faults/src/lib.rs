@@ -4,16 +4,15 @@
 //! models must stay dependable under *hardware faults* and *skewed data*.
 //! This crate is the lowest layer of that story — the raw perturbation
 //! machinery, free of any model or pipeline dependency so both the model
-//! crates (which implement [`Perturbable`] / [`PerturbablePacked`] for
-//! their parameter storage) and the campaign engine in `reliability` can
-//! build on it without cycles:
+//! crates (which list their stored parameter buffers to it) and the
+//! campaign engine in `reliability` can build on it without cycles:
 //!
 //! * [`bitflip`] — bit-flip injection on trained model parameters with
 //!   per-bit probability `p_b`, modelling memory faults in wearable
-//!   hardware (Figure 8). f32 models opt in via [`Perturbable`] (IEEE-754
-//!   word flips); int8-quantized models opt in via [`PerturbableI8`]
-//!   (two's-complement byte flips); bitpacked binary-HDC models opt in via
-//!   [`PerturbablePacked`] (flips land directly on stored sign bits).
+//!   hardware (Figure 8). A model lists its stored buffers as
+//!   [`StoredBits`] — f32 words (IEEE-754 flips), int8 bytes
+//!   (two's-complement flips) or packed sign rows (flips land directly on
+//!   hypervector components) — and [`flip_stored_bits`] walks them.
 //! * [`imbalance`] — class-imbalance dataset crafting per the paper's
 //!   Equation 8: keep every sample of the target class, subsample each other
 //!   class to a fraction `r` (Figure 7).
@@ -30,12 +29,13 @@
 //! # Example: flipping bits in a parameter buffer
 //!
 //! ```
-//! use faults::bitflip::{flip_bits_in, BitflipReport};
+//! use faults::bitflip::{flip_stored_bits, StoredBits};
 //! use linalg::Rng64;
 //!
 //! let mut params = vec![1.0f32; 1024];
 //! let mut rng = Rng64::seed_from(1);
-//! let report = flip_bits_in(&mut params, 1e-3, &mut rng);
+//! let store = vec![StoredBits::F32(&mut params)];
+//! let report = flip_stored_bits([store], 1e-3, &mut rng);
 //! assert!(report.flipped > 0);
 //! assert!(params.iter().any(|&p| p != 1.0));
 //! ```
@@ -46,8 +46,5 @@ pub mod bitflip;
 pub mod imbalance;
 pub mod noise;
 
-pub use bitflip::{
-    flip_bits, flip_bits_in, flip_i8_bits, flip_i8_bits_in, flip_sign_bits, BitflipReport,
-    Perturbable, PerturbableI8, PerturbablePacked,
-};
+pub use bitflip::{flip_stored_bits, BitflipReport, StoredBits};
 pub use imbalance::{imbalanced_indices, ImbalanceSpec};

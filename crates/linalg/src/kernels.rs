@@ -579,6 +579,10 @@ mod avx2 {
 
     /// Sums the 8 lanes of an f32 vector in a fixed (deterministic) order:
     /// low half + high half lane-wise, then pairwise within the half.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA; the function touches no memory.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn hsum256(v: __m256) -> f32 {
@@ -801,6 +805,10 @@ mod avx2 {
     /// Per-64-bit-lane popcount via the nibble-LUT `PSHUFB` trick
     /// (Muła/Kurz/Lemire): byte popcounts from two table lookups, then a
     /// `PSADBW` horizontal byte sum per 64-bit lane.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; the function touches no memory.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn popcount_lanes(v: __m256i) -> __m256i {
@@ -819,6 +827,10 @@ mod avx2 {
     }
 
     /// Carry-save adder: `(carry, sum)` bit-planes of `a + b + c`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; the function touches no memory.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn csa(a: __m256i, b: __m256i, c: __m256i) -> (__m256i, __m256i) {
@@ -828,6 +840,12 @@ mod avx2 {
         (carry, sum)
     }
 
+    /// XOR of the 256-bit blocks at `a` and `b` (unaligned loads).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `a` and `b` must each be valid for
+    /// reading 4 `u64`s.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn xor_load(a: *const u64, b: *const u64) -> __m256i {

@@ -6,7 +6,8 @@
 //!
 //! * the raw fault primitives, re-exported from the foundational [`faults`]
 //!   crate so existing `reliability::...` paths keep working —
-//!   [`bitflip`] (parameter bit flips on f32 and packed storage, Figure 8),
+//!   [`bitflip`] (parameter bit flips on f32, int8 and packed-sign
+//!   storage, Figure 8),
 //!   [`noise`] (Gaussian sensor noise, impulsive spikes, channel dropout,
 //!   label flipping), and [`imbalance`] (Equation-8 class-imbalance
 //!   crafting, Figure 7);
@@ -28,11 +29,12 @@
 //!
 //! ```
 //! use linalg::Rng64;
-//! use reliability::bitflip::{flip_bits_in, BitflipReport};
+//! use reliability::bitflip::{flip_stored_bits, StoredBits};
 //!
 //! let mut params = vec![1.0f32; 1024];
 //! let mut rng = Rng64::seed_from(1);
-//! let report = flip_bits_in(&mut params, 1e-3, &mut rng);
+//! let store = vec![StoredBits::F32(&mut params)];
+//! let report = flip_stored_bits([store], 1e-3, &mut rng);
 //! assert!(report.flipped > 0);
 //! assert!(params.iter().any(|&p| p != 1.0));
 //! ```
@@ -44,9 +46,7 @@ pub use faults::{bitflip, imbalance, noise};
 pub mod campaign;
 pub mod chaos;
 
-pub use bitflip::{
-    flip_bits, flip_bits_in, flip_sign_bits, BitflipReport, Perturbable, PerturbablePacked,
-};
+pub use bitflip::{flip_stored_bits, BitflipReport, StoredBits};
 pub use campaign::{
     Campaign, CampaignData, CampaignReport, CampaignSpec, CellResult, FaultModel, ScenarioResult,
     ScenarioSpec,

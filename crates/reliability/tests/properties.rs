@@ -2,7 +2,7 @@
 
 use linalg::Rng64;
 use proptest::prelude::*;
-use reliability::bitflip::flip_bits_in;
+use reliability::bitflip::{flip_stored_bits, StoredBits};
 use reliability::imbalance::{class_counts, imbalanced_indices, ImbalanceSpec};
 use reliability::noise::flip_labels;
 
@@ -12,7 +12,7 @@ proptest! {
         let mut params = vec![1.0f32; words];
         let mut rng = Rng64::seed_from(seed);
         let p = 1e-2;
-        let report = flip_bits_in(&mut params, p, &mut rng);
+        let report = flip_stored_bits([vec![StoredBits::F32(&mut params)]], p, &mut rng);
         let n_bits = (words * 32) as f64;
         let expected = n_bits * p;
         let std = (n_bits * p * (1.0 - p)).sqrt();
@@ -28,7 +28,7 @@ proptest! {
     fn bitflip_zero_probability_never_changes(seed in any::<u64>(), words in 0usize..200) {
         let mut params = vec![2.5f32; words];
         let mut rng = Rng64::seed_from(seed);
-        let report = flip_bits_in(&mut params, 0.0, &mut rng);
+        let report = flip_stored_bits([vec![StoredBits::F32(&mut params)]], 0.0, &mut rng);
         prop_assert_eq!(report.flipped, 0);
         prop_assert!(params.iter().all(|&p| p == 2.5));
     }

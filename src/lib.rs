@@ -80,6 +80,5 @@ pub mod prelude {
     pub use eval_harness;
     pub use hdc::{DimensionPartition, SinusoidEncoder};
     pub use linalg::{Matrix, Rng64};
-    pub use reliability::{flip_bits, Perturbable};
     pub use wearables::{self, Dataset, DatasetProfile, SubjectGroup};
 }

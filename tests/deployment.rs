@@ -97,7 +97,7 @@ fn quantized_models_survive_persistence_and_faults() {
     );
 
     let mut rng = Rng64::seed_from(5);
-    let report = flip_bits(&mut restored, 1e-5, &mut rng);
+    let report = restored.inject_bitflips(1e-5, &mut rng).unwrap();
     assert!(report.words > 0);
     let faulty_acc =
         eval_harness::metrics::accuracy(&restored.predict_batch(test.features()), test.labels());

@@ -60,7 +60,7 @@ fn bitflip_injection_replays_exactly() {
     let corrupt = |seed: u64| {
         let mut m = model.clone();
         let mut rng = Rng64::seed_from(seed);
-        let report = flip_bits(&mut m, 1e-3, &mut rng);
+        let report = m.inject_bitflips(1e-3, &mut rng).unwrap();
         (report, m.class_hypervectors().clone())
     };
     let (report_a, params_a) = corrupt(9);

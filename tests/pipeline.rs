@@ -185,18 +185,43 @@ fn bitflip_robustness_ordering_holds_end_to_end() {
     let online_acc = mean_acc(&|t| {
         let mut m = online.clone();
         let mut rng = Rng64::seed_from(100 + t);
-        flip_bits(&mut m, pb, &mut rng);
+        m.inject_bitflips(pb, &mut rng).unwrap();
         m.predict_batch(test.features())
     });
     let boost_acc = mean_acc(&|t| {
         let mut m = boost.clone();
         let mut rng = Rng64::seed_from(100 + t);
-        flip_bits(&mut m, pb, &mut rng);
+        m.inject_bitflips(pb, &mut rng).unwrap();
         m.predict_batch(test.features())
     });
     assert!(
         boost_acc >= online_acc - 0.05,
         "ensemble should absorb faults at least as well: boost {boost_acc} vs online {online_acc}"
+    );
+}
+
+#[test]
+fn nan_flip_probability_leaves_the_model_untouched() {
+    // Campaign specs reject non-finite severities, but the pipeline and
+    // the server's live-model corruption pass `p_b` straight through.
+    let (train, test) = small_split();
+    let spec = ModelSpec::QuantizedOnlineHd {
+        base: OnlineHdConfig {
+            dim: 500,
+            ..Default::default()
+        },
+        refit_epochs: 0,
+    };
+    let clean = Pipeline::fit(&spec, train.features(), train.labels()).unwrap();
+    let mut corrupted = clean.clone();
+    let report = corrupted
+        .inject_bitflips(f64::NAN, &mut Rng64::seed_from(1))
+        .unwrap();
+    assert_eq!(report.flipped, 0);
+    assert_eq!(corrupted.to_bytes().unwrap(), clean.to_bytes().unwrap());
+    assert_eq!(
+        corrupted.predict_batch(test.features()),
+        clean.predict_batch(test.features())
     );
 }
 

@@ -5,7 +5,6 @@
 
 use boosthd::{QuantizedBoostHd, QuantizedHd};
 use boosthd_repro::prelude::*;
-use reliability::flip_sign_bits;
 
 fn small_split() -> (Dataset, Dataset) {
     let profile = DatasetProfile {
@@ -108,7 +107,7 @@ fn quantized_ensemble_survives_disk_and_packed_faults() {
     let clean_acc =
         eval_harness::metrics::accuracy(&on_device.predict_batch(test.features()), test.labels());
     let mut rng = Rng64::seed_from(11);
-    let report = flip_sign_bits(&mut on_device, 1e-3, &mut rng);
+    let report = on_device.inject_bitflips(1e-3, &mut rng).unwrap();
     assert!(report.flipped > 0);
     let faulty_acc =
         eval_harness::metrics::accuracy(&on_device.predict_batch(test.features()), test.labels());
