@@ -16,7 +16,7 @@
 //! Usage: `fig8_packed [--runs N] [--quick]` (trials per point; default 30).
 
 use boosthd::parallel::default_threads;
-use boosthd::{BoostHd, ModelSpec, QuantizedBoostHd};
+use boosthd::{BoostHd, ModelSpec, QuantizedBoostHd, Tier};
 use boosthd_bench::{
     ensure_registry, parse_common_args, prepare_split, ModelKind, DEFAULT_DIM_TOTAL,
 };
@@ -54,6 +54,7 @@ fn main() {
             // then frozen with 5 quantization-aware refit epochs.
             ModelSpec::QuantizedBoostHd {
                 base: base_config,
+                tier: Tier::Binary,
                 refit_epochs: 5,
             },
         ],

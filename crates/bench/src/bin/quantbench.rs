@@ -33,7 +33,10 @@
 use std::time::Instant;
 
 use boosthd::parallel::default_threads;
-use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, QuantizedI8Query};
+use boosthd::{
+    Classifier, ModelSpec, OnlineHd, OnlineHdConfig, QuantizedHd, QuantizedI8Hd, QuantizedI8Query,
+    Tier,
+};
 use boosthd_bench::{fit_spec, parse_common_args, prepare_split};
 use eval_harness::metrics::accuracy;
 use hdc::backend::PackedHv;
@@ -87,7 +90,7 @@ fn run_config(
         train.len(),
         test.len()
     );
-    let model = fit_spec(
+    let pipeline = fit_spec(
         &ModelSpec::OnlineHd(OnlineHdConfig {
             dim,
             seed: 42,
@@ -95,17 +98,17 @@ fn run_config(
         }),
         train.features(),
         train.labels(),
-    )
-    .downcast_ref::<OnlineHd>()
-    .expect("spec-built OnlineHD")
-    .clone();
-    let refit = 2;
-    let i8_model = model
-        .quantize_i8_with_refit(train.features(), train.labels(), refit)
-        .expect("int8 refit");
-    let packed = model
-        .quantize_with_refit(train.features(), train.labels(), refit)
-        .expect("1-bit refit");
+    );
+    let refit = Some((train.features(), train.labels(), 2));
+    let i8_tier = pipeline.freeze(Tier::Int8, refit).expect("int8 refit");
+    let packed_tier = pipeline.freeze(Tier::Binary, refit).expect("1-bit refit");
+    let model = pipeline
+        .downcast_ref::<OnlineHd>()
+        .expect("spec-built OnlineHD");
+    let i8_model = i8_tier.downcast_ref::<QuantizedI8Hd>().expect("int8 tier");
+    let packed = packed_tier
+        .downcast_ref::<QuantizedHd>()
+        .expect("1-bit tier");
 
     // Replicate the test split into a serving-sized query batch, then
     // prepare each tier's query representation once (encode, quantize,
@@ -149,7 +152,7 @@ fn run_config(
     let predict_f32 = measure(rows, reps, || {
         std::hint::black_box(model.predict_batch(&queries));
     });
-    push("f32", acc(&model), f32_bytes, score_f32, predict_f32);
+    push("f32", acc(model), f32_bytes, score_f32, predict_f32);
 
     let mut i8_scores = vec![0.0f32; model.class_hypervectors().rows()];
     let score_i8 = measure(rows, reps, || {
@@ -163,7 +166,7 @@ fn run_config(
     });
     push(
         "int8",
-        acc(&i8_model),
+        acc(i8_model),
         i8_model.class_storage_bytes(),
         score_i8,
         predict_i8,
@@ -179,7 +182,7 @@ fn run_config(
     });
     push(
         "1bit",
-        acc(&packed),
+        acc(packed),
         packed.class_storage_bytes(),
         score_1bit,
         predict_1bit,

@@ -30,13 +30,10 @@
 //! dot products per learner), which is what makes the Table II latencies
 //! land next to OnlineHD's.
 
-use crate::classifier::{argmax, Classifier};
+use crate::classifier::argmax;
 use crate::error::{BoostHdError, Result};
-use crate::frozen::{Ensemble, Learner};
-use crate::online::{
-    normalize_rows, normalize_weights, scores_unit_classes_batch, train_class_hvs,
-    validate_training_inputs,
-};
+use crate::frozen::{ClassMemory, Ensemble, Learner};
+use crate::online::{normalize_rows, normalize_weights, train_class_hvs, validate_training_inputs};
 use faults::BitflipReport;
 use hdc::encoder::{Encode, SinusoidEncoder};
 use hdc::DimensionPartition;
@@ -347,11 +344,9 @@ impl BoostHd {
                 };
                 normalize_rows(&mut class_hvs);
 
-                // Weighted training error of this weak learner, via one
-                // batched scoring sweep over the encoded slice — each entry
-                // is the same dispatched dot kernel the per-row path runs,
-                // so the predictions match the row loop bit for bit.
-                let sims = scores_unit_classes_batch(&class_hvs, &zi);
+                // Weighted training error of this weak learner, scored
+                // exactly as the trained model will score its segment.
+                let sims = class_hvs.score_chunk(&zi, 0..zi.cols(), &mut ());
                 let mut err = 0.0f64;
                 let mut wrong = vec![false; n];
                 for r in 0..n {
@@ -542,27 +537,10 @@ fn weighted_bootstrap(weights: &[f64], count: usize, rng: &mut Rng64) -> Vec<usi
         .collect()
 }
 
-impl Classifier for BoostHd {
-    fn num_classes(&self) -> usize {
-        self.ensemble.num_classes()
-    }
-
-    fn scores(&self, x: &[f32]) -> Vec<f32> {
-        self.ensemble.scores(x)
-    }
-
-    fn scores_batch(&self, x: &Matrix) -> Matrix {
-        self.ensemble.scores_batch(x)
-    }
-
-    fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        self.ensemble.predict_batch(x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::Classifier;
 
     fn blobs(n: usize, seed: u64, sep: f32, noise: f32) -> (Matrix, Vec<usize>) {
         let mut rng = Rng64::seed_from(seed);

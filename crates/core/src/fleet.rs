@@ -95,8 +95,10 @@ fn io_err(what: &str, e: std::io::Error) -> BoostHdError {
     store_err(format!("fleet store {what}: {e}"))
 }
 
-/// FNV-1a 64-bit; the store's per-record and footer checksum.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit: the store's per-record and footer checksum, and the
+/// server's live-model checksum. Cheap and deterministic, and any
+/// single-bit flip in the input changes it.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
@@ -898,7 +900,7 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::online::OnlineHdConfig;
-    use crate::spec::ModelSpec;
+    use crate::spec::{ModelSpec, Tier};
     use linalg::{Matrix, Rng64};
 
     fn toy() -> (Matrix, Vec<usize>) {
@@ -1211,60 +1213,8 @@ mod tests {
     /// bit-identically to the fitted original, probabilities included.
     #[test]
     fn all_payload_kinds_serve_bit_identical() {
-        use crate::{BoostHdConfig, CentroidHdConfig};
-        let specs = vec![
-            ModelSpec::OnlineHd(OnlineHdConfig {
-                dim: 96,
-                epochs: 3,
-                ..Default::default()
-            }),
-            ModelSpec::CentroidHd(CentroidHdConfig {
-                dim: 96,
-                ..Default::default()
-            }),
-            ModelSpec::BoostHd(BoostHdConfig {
-                dim_total: 120,
-                n_learners: 4,
-                epochs: 2,
-                ..Default::default()
-            }),
-            ModelSpec::QuantizedOnlineHd {
-                base: OnlineHdConfig {
-                    dim: 96,
-                    epochs: 3,
-                    ..Default::default()
-                },
-                refit_epochs: 2,
-            },
-            ModelSpec::QuantizedBoostHd {
-                base: BoostHdConfig {
-                    dim_total: 120,
-                    n_learners: 4,
-                    epochs: 2,
-                    ..Default::default()
-                },
-                refit_epochs: 0,
-            },
-            ModelSpec::QuantizedI8OnlineHd {
-                base: OnlineHdConfig {
-                    dim: 96,
-                    epochs: 3,
-                    ..Default::default()
-                },
-                refit_epochs: 2,
-            },
-            ModelSpec::QuantizedI8BoostHd {
-                base: BoostHdConfig {
-                    dim_total: 120,
-                    n_learners: 4,
-                    epochs: 2,
-                    ..Default::default()
-                },
-                refit_epochs: 0,
-            },
-        ];
         let (x, y) = toy();
-        for spec in specs {
+        for spec in crate::spec::small_hdc_specs() {
             let tag = spec.kind_tag();
             let fitted =
                 Pipeline::fit(&spec, &x, &y).unwrap_or_else(|e| panic!("{tag} failed to fit: {e}"));
@@ -1317,11 +1267,19 @@ mod tests {
             (ModelSpec::OnlineHd(online), Box::new(online_hd)),
             (ModelSpec::BoostHd(base), Box::new(boost)),
             (
-                ModelSpec::QuantizedBoostHd { base, refit_epochs },
+                ModelSpec::QuantizedBoostHd {
+                    base,
+                    tier: Tier::Binary,
+                    refit_epochs,
+                },
                 Box::new(packed),
             ),
             (
-                ModelSpec::QuantizedI8BoostHd { base, refit_epochs },
+                ModelSpec::QuantizedBoostHd {
+                    base,
+                    tier: Tier::Int8,
+                    refit_epochs,
+                },
                 Box::new(int8),
             ),
         ];

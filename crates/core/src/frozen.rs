@@ -26,14 +26,17 @@
 //! | [`Ensemble`] | inside [`crate::BoostHd`]   | [`crate::QuantizedI8BoostHd`]    | [`crate::QuantizedBoostHd`]   |
 //!
 //! Quantizing is a map over the memory: the encoder, segments and vote
-//! weights carry over unchanged. A new memory tier is one [`ClassMemory`]
+//! weights carry over unchanged. A quantized [`crate::ModelSpec`] says
+//! the same thing, a shape variant plus a [`crate::Tier`], and one freeze
+//! in [`crate::pipeline`] performs the map for both
+//! [`crate::Pipeline::fit`] and the degrade ladder
+//! ([`crate::Pipeline::ladder`]). A new memory tier is one [`ClassMemory`]
 //! impl; the BHD1 kinds the shapes persist under are listed in the
 //! [`crate::persist`] module docs.
 
 use crate::boost::Voting;
 use crate::classifier::{argmax, argmax_rows, Classifier};
 use crate::error::{BoostHdError, Result};
-use crate::online::scores_unit_classes_batch;
 use crate::persist::{self, Reader, Writer};
 use crate::pipeline::PayloadKind;
 use faults::{BitflipReport, StoredBits};
@@ -130,15 +133,6 @@ impl ClassMemory for Matrix {
 
     fn score_row(&self, h: &[f32], _: &mut (), out: &mut [f32]) {
         linalg::kernels::cosine_scores_into(self, h, norm(h), out);
-    }
-
-    /// One `matmul_transposed` per chunk.
-    fn score_chunk(&self, z: &Matrix, cols: Range<usize>, _: &mut ()) -> Matrix {
-        if cols == (0..z.cols()) {
-            scores_unit_classes_batch(self, z)
-        } else {
-            scores_unit_classes_batch(self, &z.slice_columns(cols.start, cols.end))
-        }
     }
 
     fn set_row(&mut self, r: usize, src: &[f32], _: &mut ()) {
@@ -717,3 +711,30 @@ impl<M: ClassMemory> Classifier for Ensemble<M> {
         argmax_rows(&self.scores_batch(x))
     }
 }
+
+/// Implements [`Classifier`] for a trained f32 model by forwarding every
+/// method to the frozen shape it wraps.
+macro_rules! forward_classifier {
+    ($ty:ty => $field:ident) => {
+        impl Classifier for $ty {
+            fn num_classes(&self) -> usize {
+                self.$field.num_classes()
+            }
+
+            fn scores(&self, x: &[f32]) -> Vec<f32> {
+                self.$field.scores(x)
+            }
+
+            fn scores_batch(&self, x: &Matrix) -> Matrix {
+                self.$field.scores_batch(x)
+            }
+
+            fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
+                self.$field.predict_batch(x)
+            }
+        }
+    };
+}
+
+forward_classifier!(crate::OnlineHd => single);
+forward_classifier!(crate::BoostHd => ensemble);

@@ -32,7 +32,8 @@
 //! of one shared encoding). [`CentroidHd`] is `Single<Matrix>`,
 //! [`OnlineHd`] and [`BoostHd`] hold a `Single<Matrix>` /
 //! `Ensemble<Matrix>`, and quantizing maps the memory: the four quantized
-//! models are `Single`/`Ensemble` over `PackedMatrix`/`I8Rows`. A new
+//! models are `Single`/`Ensemble` over `PackedMatrix`/`I8Rows`, and a
+//! quantized [`ModelSpec`] names the shape plus a [`Tier`]. A new
 //! memory tier is one [`ClassMemory`] impl; [`persist`] tables the BHD1
 //! kind of each (shape, memory) pair.
 //!
@@ -108,4 +109,4 @@ pub use online::{OnlineHd, OnlineHdConfig};
 pub use pipeline::{Model, Pipeline, Prediction};
 pub use quantized::{QuantizedBoostHd, QuantizedHd};
 pub use quantized_i8::{I8Rows, QuantizedI8BoostHd, QuantizedI8Hd, QuantizedI8Query};
-pub use spec::{BaselineKind, BaselineSpec, ModelSpec};
+pub use spec::{BaselineKind, BaselineSpec, ModelSpec, Tier};

@@ -267,24 +267,6 @@ impl OnlineHd {
     }
 }
 
-impl Classifier for OnlineHd {
-    fn num_classes(&self) -> usize {
-        self.single.num_classes()
-    }
-
-    fn scores(&self, x: &[f32]) -> Vec<f32> {
-        self.single.scores(x)
-    }
-
-    fn scores_batch(&self, x: &Matrix) -> Matrix {
-        self.single.scores_batch(x)
-    }
-
-    fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        self.single.predict_batch(x)
-    }
-}
-
 /// Replaces every row of `m` by its unit-norm bipolar `{−1, +1}` sign
 /// pattern.
 pub(crate) fn bipolarize_rows(m: &mut Matrix) {
@@ -355,30 +337,6 @@ pub(crate) fn scores_unit_classes(class_hvs: &Matrix, h: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; class_hvs.rows()];
     linalg::kernels::cosine_scores_into(class_hvs, h, norm(h), &mut out);
     out
-}
-
-/// Batched [`scores_unit_classes`]: cosine similarities of every row of the
-/// pre-encoded batch `z` against *unit-norm* class hypervector rows, as a
-/// `samples × classes` matrix.
-///
-/// One tiled `Z · Cᵀ` product replaces the per-sample dot loops; every
-/// entry is computed by the same [`dot`] as the row path (dot products
-/// commute operand-wise lane by lane), so the rows equal the row-at-a-time
-/// scores bit for bit.
-pub(crate) fn scores_unit_classes_batch(class_hvs: &Matrix, z: &Matrix) -> Matrix {
-    let mut sims = z.matmul_transposed(class_hvs);
-    for r in 0..sims.rows() {
-        let hn = norm(z.row(r));
-        let row = sims.row_mut(r);
-        if hn == 0.0 {
-            row.fill(0.0);
-        } else {
-            for v in row.iter_mut() {
-                *v = (*v / hn).clamp(-1.0, 1.0);
-            }
-        }
-    }
-    sims
 }
 
 /// Cosine similarities of `h` against every row of `class_hvs`.

@@ -54,6 +54,11 @@
 //! | [`QuantizedI8Hd`]         | `Single`   | int8   | 6    | 6   | v4          |
 //! | [`QuantizedI8BoostHd`]    | `Ensemble` | int8   | 7    | 7   | v4          |
 //!
+//! A quantized [`crate::ModelSpec`] names the shape by its variant
+//! (`QuantizedOnlineHd` → `Single`, `QuantizedBoostHd` → `Ensemble`) and
+//! the memory by its [`crate::Tier`], which maps the pair to its payload
+//! tag: `QuantizedBoostHd { tier: Tier::Int8, .. }` persists as tag 7.
+//!
 //! The frozen shapes share two payload layouts:
 //!
 //! ```text

@@ -54,8 +54,10 @@ use crate::error::{BoostHdError, Result};
 use crate::frozen::{ClassMemory, Ensemble, Single};
 use crate::online::OnlineHd;
 use crate::persist::{format_of, Reader, Writer, FORMATS};
-use crate::spec::{BaselineSpec, ModelSpec};
+use crate::quantized_i8::I8Rows;
+use crate::spec::{BaselineSpec, ModelSpec, Tier};
 use faults::BitflipReport;
+use hdc::backend::PackedMatrix;
 use linalg::{Matrix, Rng64};
 
 fn pipeline_err(reason: impl Into<String>) -> BoostHdError {
@@ -369,17 +371,21 @@ impl Pipeline {
             ModelSpec::OnlineHd(c) => Box::new(OnlineHd::fit(c, x, y)?),
             ModelSpec::CentroidHd(c) => Box::new(CentroidHd::fit(c, x, y)?),
             ModelSpec::BoostHd(c) => Box::new(BoostHd::fit(c, x, y)?),
-            ModelSpec::QuantizedOnlineHd { base, refit_epochs } => {
-                Box::new(OnlineHd::fit(base, x, y)?.quantize_with_refit(x, y, *refit_epochs)?)
+            ModelSpec::QuantizedOnlineHd {
+                base,
+                tier,
+                refit_epochs,
+            } => {
+                let f32 = Self::fit(&ModelSpec::OnlineHd(*base), x, y)?;
+                return f32.freeze(*tier, Some((x, y, *refit_epochs)));
             }
-            ModelSpec::QuantizedBoostHd { base, refit_epochs } => {
-                Box::new(BoostHd::fit(base, x, y)?.quantize_with_refit(x, y, *refit_epochs)?)
-            }
-            ModelSpec::QuantizedI8OnlineHd { base, refit_epochs } => {
-                Box::new(OnlineHd::fit(base, x, y)?.quantize_i8_with_refit(x, y, *refit_epochs)?)
-            }
-            ModelSpec::QuantizedI8BoostHd { base, refit_epochs } => {
-                Box::new(BoostHd::fit(base, x, y)?.quantize_i8_with_refit(x, y, *refit_epochs)?)
+            ModelSpec::QuantizedBoostHd {
+                base,
+                tier,
+                refit_epochs,
+            } => {
+                let f32 = Self::fit(&ModelSpec::BoostHd(*base), x, y)?;
+                return f32.freeze(*tier, Some((x, y, *refit_epochs)));
             }
             ModelSpec::Baseline(b) => baseline_builder()?(b, x, y)?,
         };
@@ -388,6 +394,49 @@ impl Pipeline {
             model,
             abstain_threshold: 0.0,
         })
+    }
+
+    /// This fitted f32 OnlineHD or BoostHD pipeline with its class memory
+    /// frozen into `tier`, under the matching quantized spec and the same
+    /// abstention threshold. With `refit = Some((x, y, epochs))` the
+    /// memory is first refined for `epochs` straight-through epochs on
+    /// `(x, y)` (the data is validated even at 0 epochs); with `None` it
+    /// is frozen data-free.
+    ///
+    /// This is the one freeze: [`Pipeline::fit`] runs it for the
+    /// quantized specs and [`Pipeline::ladder`] for every rung.
+    ///
+    /// # Errors
+    ///
+    /// [`BoostHdError::DataMismatch`] for inconsistent refit data, and
+    /// [`BoostHdError::InvalidConfig`] for any other model family.
+    pub fn freeze(&self, tier: Tier, refit: Option<(&Matrix, &[usize], usize)>) -> Result<Self> {
+        let epochs = refit.map_or(0, |(_, _, epochs)| epochs);
+        let spec = self
+            .spec
+            .quantized(tier, epochs)
+            .ok_or_else(not_freezable)?;
+        let model = match tier {
+            Tier::Int8 => freeze_into::<I8Rows>(self.model.as_ref(), refit)?,
+            Tier::Binary => freeze_into::<PackedMatrix>(self.model.as_ref(), refit)?,
+        };
+        Ok(Self::from_model(spec, model).with_abstain_threshold(self.abstain_threshold))
+    }
+
+    /// The degrade ladder of this pipeline, most precise first: the
+    /// pipeline itself, then — for f32 OnlineHD and BoostHD — its
+    /// data-free [`Pipeline::freeze`] into each [`Tier::LADDER`] rung.
+    /// Other families get a one-rung ladder.
+    ///
+    /// A rung persists byte for byte as [`Pipeline::fit`] of its
+    /// `{ tier, refit_epochs: 0 }` spec. The server steps through this
+    /// ladder under overload, and `hdrun fleet add --ladder` publishes it
+    /// as one store record.
+    pub fn ladder(&self) -> Vec<Pipeline> {
+        let rungs = Tier::LADDER
+            .into_iter()
+            .map_while(|tier| self.freeze(tier, None).ok());
+        std::iter::once(self.clone()).chain(rungs).collect()
     }
 
     /// Wraps an already-trained model with its spec (the load path, and
@@ -723,11 +772,36 @@ fn expected_payload_kind(spec: &ModelSpec) -> PayloadKind {
         ModelSpec::OnlineHd(_) => PayloadKind::OnlineHd,
         ModelSpec::CentroidHd(_) => PayloadKind::CentroidHd,
         ModelSpec::BoostHd(_) => PayloadKind::BoostHd,
-        ModelSpec::QuantizedOnlineHd { .. } => PayloadKind::QuantizedHd,
-        ModelSpec::QuantizedBoostHd { .. } => PayloadKind::QuantizedBoostHd,
-        ModelSpec::QuantizedI8OnlineHd { .. } => PayloadKind::QuantizedI8Hd,
-        ModelSpec::QuantizedI8BoostHd { .. } => PayloadKind::QuantizedI8BoostHd,
+        ModelSpec::QuantizedOnlineHd { tier, .. } => tier.names(false).2,
+        ModelSpec::QuantizedBoostHd { tier, .. } => tier.names(true).2,
         ModelSpec::Baseline(_) => PayloadKind::Unsupported,
+    }
+}
+
+/// [`Pipeline::freeze`] of `model` into the memory `Q`.
+fn freeze_into<Q: ClassMemory>(
+    model: &dyn Model,
+    refit: Option<(&Matrix, &[usize], usize)>,
+) -> Result<Box<dyn Model>> {
+    let any = model.as_any();
+    if let Some(m) = any.downcast_ref::<OnlineHd>() {
+        Ok(Box::new(match refit {
+            Some((x, y, epochs)) => m.single.refit::<Q>(x, y, m.config().lr, epochs)?,
+            None => m.single.freeze::<Q>(),
+        }))
+    } else if let Some(m) = any.downcast_ref::<BoostHd>() {
+        Ok(Box::new(match refit {
+            Some((x, y, epochs)) => m.ensemble.refit::<Q>(x, y, m.config().lr, epochs)?,
+            None => m.ensemble.freeze::<Q>(),
+        }))
+    } else {
+        Err(not_freezable())
+    }
+}
+
+fn not_freezable() -> BoostHdError {
+    BoostHdError::InvalidConfig {
+        reason: "only f32 OnlineHD and BoostHD models freeze into a quantized tier".into(),
     }
 }
 
@@ -752,9 +826,7 @@ impl Classifier for Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::OnlineHdConfig;
-    use crate::spec::default_specs;
-    use crate::{BoostHdConfig, CentroidHdConfig};
+    use crate::spec::{default_specs, small_hdc_specs};
     use linalg::Rng64;
 
     fn toy() -> (Matrix, Vec<usize>) {
@@ -769,64 +841,10 @@ mod tests {
         (Matrix::from_rows(&rows).unwrap(), labels)
     }
 
-    fn hdc_specs() -> Vec<ModelSpec> {
-        vec![
-            ModelSpec::OnlineHd(OnlineHdConfig {
-                dim: 96,
-                epochs: 3,
-                ..Default::default()
-            }),
-            ModelSpec::CentroidHd(CentroidHdConfig {
-                dim: 96,
-                ..Default::default()
-            }),
-            ModelSpec::BoostHd(BoostHdConfig {
-                dim_total: 120,
-                n_learners: 4,
-                epochs: 2,
-                ..Default::default()
-            }),
-            ModelSpec::QuantizedOnlineHd {
-                base: OnlineHdConfig {
-                    dim: 96,
-                    epochs: 3,
-                    ..Default::default()
-                },
-                refit_epochs: 2,
-            },
-            ModelSpec::QuantizedBoostHd {
-                base: BoostHdConfig {
-                    dim_total: 120,
-                    n_learners: 4,
-                    epochs: 2,
-                    ..Default::default()
-                },
-                refit_epochs: 0,
-            },
-            ModelSpec::QuantizedI8OnlineHd {
-                base: OnlineHdConfig {
-                    dim: 96,
-                    epochs: 3,
-                    ..Default::default()
-                },
-                refit_epochs: 2,
-            },
-            ModelSpec::QuantizedI8BoostHd {
-                base: BoostHdConfig {
-                    dim_total: 120,
-                    n_learners: 4,
-                    epochs: 2,
-                    ..Default::default()
-                },
-                refit_epochs: 0,
-            },
-        ]
-    }
-
     #[test]
     fn every_hdc_spec_fits_and_round_trips_the_envelope() {
         let (x, y) = toy();
-        for spec in hdc_specs() {
+        for spec in small_hdc_specs() {
             let pipeline = Pipeline::fit(&spec, &x, &y)
                 .unwrap_or_else(|e| panic!("{} failed to fit: {e}", spec.kind_tag()));
             let restored = Pipeline::from_bytes(&pipeline.to_bytes().unwrap())
@@ -842,9 +860,39 @@ mod tests {
     }
 
     #[test]
+    fn ladder_rungs_persist_as_the_fitted_refit_free_tiers() {
+        let (x, y) = toy();
+        for base in &small_hdc_specs()[..3] {
+            let pipeline = Pipeline::fit(base, &x, &y).unwrap();
+            let ladder = pipeline.with_abstain_threshold(0.4).ladder();
+            let tags: Vec<&str> = ladder.iter().map(|p| p.spec().tier_tag()).collect();
+            let one_rung = matches!(base, ModelSpec::CentroidHd(_));
+            let expected = if one_rung {
+                &["f32"][..]
+            } else {
+                &["f32", "int8", "binary"]
+            };
+            assert_eq!(tags, expected, "{}", base.kind_tag());
+            for rung in &ladder[1..] {
+                let spec = rung.spec();
+                assert!(spec.to_toml().contains("refit_epochs = 0"), "{spec:?}");
+                let fitted = Pipeline::fit(spec, &x, &y)
+                    .unwrap()
+                    .with_abstain_threshold(0.4);
+                let what = spec.kind_tag();
+                assert_eq!(
+                    rung.to_bytes().unwrap(),
+                    fitted.to_bytes().unwrap(),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn envelope_preserves_abstain_threshold() {
         let (x, y) = toy();
-        let pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y)
+        let pipeline = Pipeline::fit(&small_hdc_specs()[0], &x, &y)
             .unwrap()
             .with_abstain_threshold(0.61);
         let restored = Pipeline::from_bytes(&pipeline.to_bytes().unwrap()).unwrap();
@@ -854,7 +902,7 @@ mod tests {
     #[test]
     fn corrupt_envelopes_fail_loudly() {
         let (x, y) = toy();
-        let bytes = Pipeline::fit(&hdc_specs()[0], &x, &y)
+        let bytes = Pipeline::fit(&small_hdc_specs()[0], &x, &y)
             .unwrap()
             .to_bytes()
             .unwrap();
@@ -873,7 +921,7 @@ mod tests {
     #[test]
     fn confidence_is_normalized_and_margin_bounded() {
         let (x, y) = toy();
-        for spec in hdc_specs() {
+        for spec in small_hdc_specs() {
             let pipeline = Pipeline::fit(&spec, &x, &y).unwrap();
             for p in pipeline.predict_batch_with_confidence(&x) {
                 assert!(
@@ -893,7 +941,7 @@ mod tests {
     #[test]
     fn batched_confidence_matches_rowwise() {
         let (x, y) = toy();
-        let pipeline = Pipeline::fit(&hdc_specs()[2], &x, &y).unwrap();
+        let pipeline = Pipeline::fit(&small_hdc_specs()[2], &x, &y).unwrap();
         let batch = pipeline.predict_batch_with_confidence(&x);
         for (r, batched) in batch.iter().enumerate() {
             let single = pipeline.predict_with_confidence(x.row(r));
@@ -905,7 +953,7 @@ mod tests {
     #[test]
     fn abstention_threshold_gates_monotonically() {
         let (x, y) = toy();
-        let mut pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y).unwrap();
+        let mut pipeline = Pipeline::fit(&small_hdc_specs()[0], &x, &y).unwrap();
         let mut previous = 0usize;
         for threshold in [0.0f32, 0.34, 0.6, 0.9, 1.0] {
             pipeline.set_abstain_threshold(threshold);
@@ -931,7 +979,7 @@ mod tests {
     #[test]
     fn nan_scores_yield_zero_confidence_and_abstain() {
         let (x, y) = toy();
-        let pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y)
+        let pipeline = Pipeline::fit(&small_hdc_specs()[0], &x, &y)
             .unwrap()
             .with_abstain_threshold(0.1);
         let p = pipeline.prediction_from_scores(&[f32::NAN, f32::NAN, f32::NAN]);
@@ -946,7 +994,7 @@ mod tests {
     #[test]
     fn abstention_threshold_zero_and_one_edges() {
         let (x, y) = toy();
-        let mut pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y).unwrap();
+        let mut pipeline = Pipeline::fit(&small_hdc_specs()[0], &x, &y).unwrap();
         // Threshold 0.0 (the default) never abstains, even on a row with
         // zero confidence (no finite evidence at all).
         pipeline.set_abstain_threshold(0.0);
@@ -972,7 +1020,7 @@ mod tests {
     #[test]
     fn two_way_ties_pick_the_earliest_class_with_zero_margin() {
         let (x, y) = toy();
-        let pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y)
+        let pipeline = Pipeline::fit(&small_hdc_specs()[0], &x, &y)
             .unwrap()
             .with_abstain_threshold(0.6);
         let p = pipeline.prediction_from_scores(&[0.5, 0.5]);
@@ -991,7 +1039,7 @@ mod tests {
     fn single_class_models_are_always_certain() {
         let (x, _) = toy();
         let y = vec![0usize; x.rows()];
-        for spec in [hdc_specs()[0].clone(), hdc_specs()[1].clone()] {
+        for spec in [small_hdc_specs()[0].clone(), small_hdc_specs()[1].clone()] {
             let pipeline = Pipeline::fit(&spec, &x, &y)
                 .unwrap()
                 .with_abstain_threshold(1.0);
@@ -1012,7 +1060,7 @@ mod tests {
     #[test]
     fn all_nan_and_mixed_nan_rows_pin_the_argmax_fix() {
         let (x, y) = toy();
-        let pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y)
+        let pipeline = Pipeline::fit(&small_hdc_specs()[0], &x, &y)
             .unwrap()
             .with_abstain_threshold(0.1);
         // All-NaN row: fallback class 0, zero everything, abstains.
@@ -1036,7 +1084,7 @@ mod tests {
     #[test]
     fn envelope_with_bumped_unknown_version_fails_with_expected_variant() {
         let (x, y) = toy();
-        let bytes = Pipeline::fit(&hdc_specs()[0], &x, &y)
+        let bytes = Pipeline::fit(&small_hdc_specs()[0], &x, &y)
             .unwrap()
             .to_bytes()
             .unwrap();
@@ -1068,7 +1116,7 @@ mod tests {
     #[test]
     fn envelope_with_unknown_model_kind_fails_with_expected_variant() {
         let (x, y) = toy();
-        let bytes = Pipeline::fit(&hdc_specs()[0], &x, &y)
+        let bytes = Pipeline::fit(&small_hdc_specs()[0], &x, &y)
             .unwrap()
             .to_bytes()
             .unwrap();
@@ -1100,7 +1148,7 @@ mod tests {
     #[test]
     fn v1_envelopes_without_tuning_record_remain_readable() {
         let (x, y) = toy();
-        let pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y)
+        let pipeline = Pipeline::fit(&small_hdc_specs()[0], &x, &y)
             .unwrap()
             .with_abstain_threshold(0.4);
         let v2 = pipeline.to_bytes().unwrap();
@@ -1119,7 +1167,7 @@ mod tests {
     #[test]
     fn tuning_record_is_fixed_on_save_and_skipped_on_load() {
         let (x, y) = toy();
-        let pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y).unwrap();
+        let pipeline = Pipeline::fit(&small_hdc_specs()[0], &x, &y).unwrap();
         let bytes = pipeline.to_bytes().unwrap();
         assert_eq!(bytes[10..19], [0, 1, 0, 0, 0, 0, 0, 0, 0]);
         // Older envelopes stamped whatever the saving process timed; any
@@ -1158,7 +1206,7 @@ mod tests {
     #[test]
     fn downcasts_reach_the_concrete_model() {
         let (x, y) = toy();
-        let mut pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y).unwrap();
+        let mut pipeline = Pipeline::fit(&small_hdc_specs()[0], &x, &y).unwrap();
         assert!(pipeline.downcast_ref::<OnlineHd>().is_some());
         assert!(pipeline.downcast_ref::<BoostHd>().is_none());
         let before = pipeline.predict(x.row(0));
@@ -1175,7 +1223,7 @@ mod tests {
     fn pipeline_is_a_classifier_for_the_serving_engine() {
         fn takes_classifier<C: Classifier + Sync>(_c: &C) {}
         let (x, y) = toy();
-        let pipeline = Pipeline::fit(&hdc_specs()[1], &x, &y).unwrap();
+        let pipeline = Pipeline::fit(&small_hdc_specs()[1], &x, &y).unwrap();
         takes_classifier(&pipeline);
         assert_eq!(
             pipeline.predict_batch_parallel(&x, 3),

@@ -24,13 +24,16 @@
 //! # Quantization-aware refit
 //!
 //! Plain sign binarization is data-free but lossy when the per-learner
-//! dimensionality is small (similarity noise grows like `1/√D_wl`). The
-//! `quantize_with_refit` variants run a few straight-through refinement
-//! epochs before freezing: queries are scored against the *binarized*
-//! class vectors (exactly what deployment will do) while the OnlineHD
-//! update accumulates in f32 shadow weights, whose signs re-binarize after
-//! every touched update. On the wearable workloads this recovers most of
-//! the sign-rounding loss at `D_wl = 400`.
+//! dimensionality is small (similarity noise grows like `1/√D_wl`). A
+//! quantized spec's `refit_epochs` (or [`crate::Pipeline::freeze`] with
+//! refit data) runs a few straight-through refinement epochs before
+//! freezing: queries are scored against the *binarized* class vectors
+//! (exactly what deployment will do; each BoostHD learner on its own
+//! segment) while the OnlineHD update accumulates in f32 shadow weights,
+//! whose signs re-binarize after every touched update. On the wearable
+//! workloads this recovers most of the sign-rounding loss at
+//! `D_wl = 400`. A handful of epochs suffices; long refits start fitting
+//! quantization noise.
 
 use crate::boost::BoostHd;
 use crate::error::Result;
@@ -124,22 +127,6 @@ impl OnlineHd {
     pub fn quantize(&self) -> QuantizedHd {
         self.single.freeze()
     }
-
-    /// [`OnlineHd::quantize`] preceded by `epochs` of quantization-aware
-    /// refinement on `(x, y)` (see the [module docs](self)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::BoostHdError::DataMismatch`] for empty/inconsistent
-    /// refit data or out-of-range labels.
-    pub fn quantize_with_refit(
-        &self,
-        x: &Matrix,
-        y: &[usize],
-        epochs: usize,
-    ) -> Result<QuantizedHd> {
-        self.single.refit(x, y, self.config().lr, epochs)
-    }
 }
 
 impl CentroidHd {
@@ -156,29 +143,6 @@ impl BoostHd {
     /// votes scored via popcount. See the [module docs](self).
     pub fn quantize(&self) -> QuantizedBoostHd {
         self.ensemble.freeze()
-    }
-
-    /// [`BoostHd::quantize`] preceded by `epochs` of per-learner
-    /// quantization-aware refinement on `(x, y)`.
-    ///
-    /// Each weak learner refines against its own segment of the encoded
-    /// refit batch, scoring exactly the way the deployed packed model will
-    /// (popcount against binarized classes) while updates accumulate in
-    /// f32 shadow weights. Recommended before shipping: at the paper's
-    /// `D_wl = 400` it recovers most of the sign-rounding loss. A handful
-    /// of epochs suffices; long refits start fitting quantization noise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::BoostHdError::DataMismatch`] for empty/inconsistent
-    /// refit data or out-of-range labels.
-    pub fn quantize_with_refit(
-        &self,
-        x: &Matrix,
-        y: &[usize],
-        epochs: usize,
-    ) -> Result<QuantizedBoostHd> {
-        self.ensemble.refit(x, y, self.config().lr, epochs)
     }
 }
 
@@ -334,7 +298,14 @@ mod tests {
         };
         let model = BoostHd::fit(&config, &x, &y).unwrap();
         let plain = accuracy(&model.quantize(), &x, &y);
-        let refit = accuracy(&model.quantize_with_refit(&x, &y, 5).unwrap(), &x, &y);
+        let refit = accuracy(
+            &model
+                .ensemble
+                .refit::<PackedMatrix>(&x, &y, config.lr, 5)
+                .unwrap(),
+            &x,
+            &y,
+        );
         assert!(
             refit >= plain,
             "refit {refit} should not trail data-free {plain}"
@@ -351,15 +322,20 @@ mod tests {
             ..Default::default()
         };
         let model = BoostHd::fit(&config, &x, &y).unwrap();
+        let refit = |x: &Matrix, y: &[usize], epochs| {
+            model
+                .ensemble
+                .refit::<PackedMatrix>(x, y, config.lr, epochs)
+        };
         let empty = Matrix::zeros(0, 3);
-        assert!(model.quantize_with_refit(&empty, &[], 3).is_err());
-        assert!(model.quantize_with_refit(&x, &y[..10], 3).is_err());
+        assert!(refit(&empty, &[], 3).is_err());
+        assert!(refit(&x, &y[..10], 3).is_err());
         let bad_labels = vec![99usize; y.len()];
-        assert!(model.quantize_with_refit(&x, &bad_labels, 3).is_err());
+        assert!(refit(&x, &bad_labels, 3).is_err());
         let narrow = Matrix::zeros(60, 1);
-        assert!(model.quantize_with_refit(&narrow, &y, 3).is_err());
+        assert!(refit(&narrow, &y, 3).is_err());
         // Zero refit epochs degenerates to data-free quantization.
-        let zero = model.quantize_with_refit(&x, &y, 0).unwrap();
+        let zero = refit(&x, &y, 0).unwrap();
         assert_eq!(zero.predict_batch(&x), model.quantize().predict_batch(&x));
     }
 
@@ -373,7 +349,14 @@ mod tests {
         };
         let model = OnlineHd::fit(&config, &x, &y).unwrap();
         let plain = accuracy(&model.quantize(), &x, &y);
-        let refit = accuracy(&model.quantize_with_refit(&x, &y, 5).unwrap(), &x, &y);
+        let refit = accuracy(
+            &model
+                .single
+                .refit::<PackedMatrix>(&x, &y, config.lr, 5)
+                .unwrap(),
+            &x,
+            &y,
+        );
         assert!(refit >= plain - 1e-9, "refit {refit} vs plain {plain}");
     }
 

@@ -37,7 +37,7 @@
 //!
 //! # Quantization-aware refit
 //!
-//! As with the 1-bit tier, `quantize_i8_with_refit` runs straight-through
+//! As with the 1-bit tier, refit epochs run straight-through
 //! refinement: queries are scored against the *int8* class rows (exactly
 //! what deployment will do) while OnlineHD updates accumulate in f32
 //! shadow weights, and every touched row is re-quantized immediately. At
@@ -327,22 +327,6 @@ impl OnlineHd {
     pub fn quantize_i8(&self) -> QuantizedI8Hd {
         self.single.freeze()
     }
-
-    /// [`OnlineHd::quantize_i8`] preceded by `epochs` of quantization-aware
-    /// refinement on `(x, y)` (see the [module docs](self)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for empty/inconsistent refit
-    /// data or out-of-range labels.
-    pub fn quantize_i8_with_refit(
-        &self,
-        x: &Matrix,
-        y: &[usize],
-        epochs: usize,
-    ) -> Result<QuantizedI8Hd> {
-        self.single.refit(x, y, self.config().lr, epochs)
-    }
 }
 
 impl CentroidHd {
@@ -360,23 +344,6 @@ impl BoostHd {
     /// [module docs](self).
     pub fn quantize_i8(&self) -> QuantizedI8BoostHd {
         self.ensemble.freeze()
-    }
-
-    /// [`BoostHd::quantize_i8`] preceded by `epochs` of per-learner
-    /// quantization-aware refinement on `(x, y)`; the int8 counterpart of
-    /// [`BoostHd::quantize_with_refit`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for empty/inconsistent refit
-    /// data or out-of-range labels.
-    pub fn quantize_i8_with_refit(
-        &self,
-        x: &Matrix,
-        y: &[usize],
-        epochs: usize,
-    ) -> Result<QuantizedI8BoostHd> {
-        self.ensemble.refit(x, y, self.config().lr, epochs)
     }
 }
 
@@ -610,13 +577,23 @@ mod tests {
         };
         let model = BoostHd::fit(&config, &x, &y).unwrap();
         let plain = accuracy(&model.quantize_i8(), &x, &y);
-        let refit = accuracy(&model.quantize_i8_with_refit(&x, &y, 5).unwrap(), &x, &y);
+        let refit = accuracy(
+            &model
+                .ensemble
+                .refit::<I8Rows>(&x, &y, config.lr, 5)
+                .unwrap(),
+            &x,
+            &y,
+        );
         assert!(
             refit >= plain,
             "refit {refit} should not trail data-free {plain}"
         );
         // Zero refit epochs degenerates to data-free quantization.
-        let zero = model.quantize_i8_with_refit(&x, &y, 0).unwrap();
+        let zero = model
+            .ensemble
+            .refit::<I8Rows>(&x, &y, config.lr, 0)
+            .unwrap();
         assert_eq!(
             zero.predict_batch(&x),
             model.quantize_i8().predict_batch(&x)
@@ -632,11 +609,12 @@ mod tests {
             ..Default::default()
         };
         let model = OnlineHd::fit(&config, &x, &y).unwrap();
+        let refit = |x: &Matrix, y: &[usize]| model.single.refit::<I8Rows>(x, y, config.lr, 3);
         let empty = Matrix::zeros(0, 3);
-        assert!(model.quantize_i8_with_refit(&empty, &[], 3).is_err());
-        assert!(model.quantize_i8_with_refit(&x, &y[..10], 3).is_err());
+        assert!(refit(&empty, &[]).is_err());
+        assert!(refit(&x, &y[..10]).is_err());
         let bad_labels = vec![99usize; y.len()];
-        assert!(model.quantize_i8_with_refit(&x, &bad_labels, 3).is_err());
+        assert!(refit(&x, &bad_labels).is_err());
     }
 
     #[test]

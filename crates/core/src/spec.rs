@@ -5,9 +5,12 @@
 //! Ge & Parhi review) treats model choice as a swept design-space
 //! parameter; this module makes that literal. One `ModelSpec` value names
 //! a model family plus its full hyperparameter set — HDC encoder
-//! dimensionality, training knobs, backend (dense f32 vs bitpacked sign),
-//! and for the classical baselines the handful of knobs the Table I zoo
-//! varies. Specs round-trip through the TOML subset in [`crate::toml`]
+//! dimensionality, training knobs, storage precision, and for the
+//! classical baselines the handful of knobs the Table I zoo varies.
+//! Precision is a field, not a family: a quantized spec names its shape
+//! (`QuantizedOnlineHd` or `QuantizedBoostHd`) and the [`Tier`] (int8 or
+//! 1-bit) its trained f32 class memory is frozen into, and [`Tier`] alone
+//! knows each tier's `kind` tag, report name and payload kind. Specs round-trip through the TOML subset in [`crate::toml`]
 //! (`[model]` tables, the `hdrun` CLI's file format) and through the
 //! persistence envelope ([`crate::pipeline`]), so a trained artifact
 //! always records exactly how to rebuild itself.
@@ -27,6 +30,7 @@ use crate::boost::{BoostHdConfig, EnsembleMode, SampleMode, Voting};
 use crate::centroid::CentroidHdConfig;
 use crate::error::{BoostHdError, Result};
 use crate::online::OnlineHdConfig;
+use crate::pipeline::PayloadKind;
 use crate::toml::{TomlDoc, TomlTable, TomlWriter};
 use serde::{Deserialize, Serialize};
 
@@ -109,6 +113,69 @@ impl BaselineSpec {
     }
 }
 
+/// The storage precision a quantized spec freezes its trained f32 class
+/// memory into: one rung of the quantization ladder below f32. The model
+/// shape (single learner or boosted ensemble) stays in the [`ModelSpec`]
+/// variant, mirroring [`crate::Single`]/[`crate::Ensemble`] ×
+/// [`crate::ClassMemory`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Tier {
+    /// Symmetric per-row int8 ([`crate::I8Rows`]).
+    Int8,
+    /// Bitpacked signs ([`hdc::backend::PackedMatrix`]).
+    Binary,
+}
+
+impl Tier {
+    /// The quantized tiers, most precise first: the rungs the degrade
+    /// ladder steps down through after f32.
+    pub const LADDER: [Tier; 2] = [Tier::Int8, Tier::Binary];
+
+    /// The tier's name in serving replies and health reports.
+    pub fn tag(self) -> &'static str {
+        match self {
+            Tier::Int8 => "int8",
+            Tier::Binary => "binary",
+        }
+    }
+
+    /// The spec-file `kind`, report name and payload kind of the
+    /// quantized single-learner (`ensemble = false`) or boosted
+    /// (`ensemble = true`) model at this tier.
+    pub(crate) fn names(self, ensemble: bool) -> (&'static str, &'static str, PayloadKind) {
+        match (self, ensemble) {
+            (Tier::Int8, false) => (
+                "quantized_i8_online_hd",
+                "OnlineHD(int8)",
+                PayloadKind::QuantizedI8Hd,
+            ),
+            (Tier::Int8, true) => (
+                "quantized_i8_boost_hd",
+                "BoostHD(int8)",
+                PayloadKind::QuantizedI8BoostHd,
+            ),
+            (Tier::Binary, false) => (
+                "quantized_online_hd",
+                "OnlineHD(bitpacked)",
+                PayloadKind::QuantizedHd,
+            ),
+            (Tier::Binary, true) => (
+                "quantized_boost_hd",
+                "BoostHD(bitpacked)",
+                PayloadKind::QuantizedBoostHd,
+            ),
+        }
+    }
+
+    /// The tier and shape a quantized spec-file `kind` names.
+    fn from_kind_tag(kind: &str) -> Option<(Tier, bool)> {
+        Tier::LADDER
+            .into_iter()
+            .flat_map(|tier| [(tier, false), (tier, true)])
+            .find(|&(tier, ensemble)| tier.names(ensemble).0 == kind)
+    }
+}
+
 /// The unified, declarative model description: every model family of the
 /// evaluation with its nested hyperparameters. See the [module
 /// docs](self) and [`crate::pipeline::Pipeline::fit`].
@@ -120,37 +187,23 @@ pub enum ModelSpec {
     CentroidHd(CentroidHdConfig),
     /// The paper's boosted partitioned ensemble, dense-f32 backend.
     BoostHd(BoostHdConfig),
-    /// OnlineHD trained in f32 then frozen to the bitpacked sign backend
+    /// OnlineHD trained in f32 then frozen to a quantized [`Tier`]
     /// (optionally with quantization-aware refit epochs).
     QuantizedOnlineHd {
         /// The f32 training configuration.
         base: OnlineHdConfig,
-        /// Straight-through refinement epochs before freezing (0 = plain
-        /// sign binarization).
-        refit_epochs: usize,
-    },
-    /// BoostHD trained in f32 then frozen to the bitpacked sign backend.
-    QuantizedBoostHd {
-        /// The f32 training configuration.
-        base: BoostHdConfig,
-        /// Straight-through refinement epochs before freezing (0 = plain
-        /// sign binarization).
-        refit_epochs: usize,
-    },
-    /// OnlineHD trained in f32 then frozen to the int8 scaled-integer
-    /// backend (the middle rung of the quantization ladder).
-    QuantizedI8OnlineHd {
-        /// The f32 training configuration.
-        base: OnlineHdConfig,
+        /// The storage precision the class memory is frozen into.
+        tier: Tier,
         /// Straight-through refinement epochs before freezing (0 = plain
         /// data-free quantization).
         refit_epochs: usize,
     },
-    /// BoostHD trained in f32 then frozen to the int8 scaled-integer
-    /// backend.
-    QuantizedI8BoostHd {
+    /// BoostHD trained in f32 then frozen to a quantized [`Tier`].
+    QuantizedBoostHd {
         /// The f32 training configuration.
         base: BoostHdConfig,
+        /// The storage precision every learner's memory is frozen into.
+        tier: Tier,
         /// Straight-through refinement epochs before freezing (0 = plain
         /// data-free quantization).
         refit_epochs: usize,
@@ -167,10 +220,8 @@ impl ModelSpec {
             ModelSpec::OnlineHd(_) => "online_hd",
             ModelSpec::CentroidHd(_) => "centroid_hd",
             ModelSpec::BoostHd(_) => "boost_hd",
-            ModelSpec::QuantizedOnlineHd { .. } => "quantized_online_hd",
-            ModelSpec::QuantizedBoostHd { .. } => "quantized_boost_hd",
-            ModelSpec::QuantizedI8OnlineHd { .. } => "quantized_i8_online_hd",
-            ModelSpec::QuantizedI8BoostHd { .. } => "quantized_i8_boost_hd",
+            ModelSpec::QuantizedOnlineHd { tier, .. } => tier.names(false).0,
+            ModelSpec::QuantizedBoostHd { tier, .. } => tier.names(true).0,
             ModelSpec::Baseline(b) => b.kind.tag(),
         }
     }
@@ -181,10 +232,8 @@ impl ModelSpec {
             ModelSpec::OnlineHd(_) => "OnlineHD",
             ModelSpec::CentroidHd(_) => "CentroidHD",
             ModelSpec::BoostHd(_) => "BoostHD",
-            ModelSpec::QuantizedOnlineHd { .. } => "OnlineHD(bitpacked)",
-            ModelSpec::QuantizedBoostHd { .. } => "BoostHD(bitpacked)",
-            ModelSpec::QuantizedI8OnlineHd { .. } => "OnlineHD(int8)",
-            ModelSpec::QuantizedI8BoostHd { .. } => "BoostHD(int8)",
+            ModelSpec::QuantizedOnlineHd { tier, .. } => tier.names(false).1,
+            ModelSpec::QuantizedBoostHd { tier, .. } => tier.names(true).1,
             ModelSpec::Baseline(b) => match b.kind {
                 BaselineKind::AdaBoost => "Adaboost",
                 BaselineKind::RandomForest => "RF",
@@ -199,13 +248,9 @@ impl ModelSpec {
     /// spec per run from a base spec).
     pub fn set_seed(&mut self, seed: u64) {
         match self {
-            ModelSpec::OnlineHd(c)
-            | ModelSpec::QuantizedOnlineHd { base: c, .. }
-            | ModelSpec::QuantizedI8OnlineHd { base: c, .. } => c.seed = seed,
+            ModelSpec::OnlineHd(c) | ModelSpec::QuantizedOnlineHd { base: c, .. } => c.seed = seed,
             ModelSpec::CentroidHd(c) => c.seed = seed,
-            ModelSpec::BoostHd(c)
-            | ModelSpec::QuantizedBoostHd { base: c, .. }
-            | ModelSpec::QuantizedI8BoostHd { base: c, .. } => c.seed = seed,
+            ModelSpec::BoostHd(c) | ModelSpec::QuantizedBoostHd { base: c, .. } => c.seed = seed,
             ModelSpec::Baseline(b) => b.seed = seed,
         }
     }
@@ -215,6 +260,36 @@ impl ModelSpec {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.set_seed(seed);
         self
+    }
+
+    /// The precision the spec's model scores at, as serving replies name
+    /// it: `"f32"` for the dense HDC families, the [`Tier::tag`] of a
+    /// quantized spec, `"baseline"` for the classical baselines.
+    pub fn tier_tag(&self) -> &'static str {
+        match self {
+            ModelSpec::OnlineHd(_) | ModelSpec::CentroidHd(_) | ModelSpec::BoostHd(_) => "f32",
+            ModelSpec::QuantizedOnlineHd { tier, .. }
+            | ModelSpec::QuantizedBoostHd { tier, .. } => tier.tag(),
+            ModelSpec::Baseline(_) => "baseline",
+        }
+    }
+
+    /// The spec of this f32 OnlineHD or BoostHD spec's model frozen into
+    /// `tier` after `refit_epochs`; `None` for every other family.
+    pub(crate) fn quantized(&self, tier: Tier, refit_epochs: usize) -> Option<ModelSpec> {
+        match self {
+            ModelSpec::OnlineHd(base) => Some(ModelSpec::QuantizedOnlineHd {
+                base: *base,
+                tier,
+                refit_epochs,
+            }),
+            ModelSpec::BoostHd(base) => Some(ModelSpec::QuantizedBoostHd {
+                base: *base,
+                tier,
+                refit_epochs,
+            }),
+            _ => None,
+        }
     }
 
     /// Serializes the spec as a `[model]` TOML table (the `hdrun` spec-file
@@ -239,13 +314,15 @@ impl ModelSpec {
                 w.u64("seed", c.seed);
             }
             ModelSpec::BoostHd(c) => write_boost(w, c),
-            ModelSpec::QuantizedOnlineHd { base, refit_epochs }
-            | ModelSpec::QuantizedI8OnlineHd { base, refit_epochs } => {
+            ModelSpec::QuantizedOnlineHd {
+                base, refit_epochs, ..
+            } => {
                 write_online(w, base);
                 w.int("refit_epochs", *refit_epochs as i64);
             }
-            ModelSpec::QuantizedBoostHd { base, refit_epochs }
-            | ModelSpec::QuantizedI8BoostHd { base, refit_epochs } => {
+            ModelSpec::QuantizedBoostHd {
+                base, refit_epochs, ..
+            } => {
                 write_boost(w, base);
                 w.int("refit_epochs", *refit_epochs as i64);
             }
@@ -294,21 +371,27 @@ impl ModelSpec {
     /// As [`ModelSpec::from_toml_str`].
     pub fn from_toml_table(table: &TomlTable) -> Result<Self> {
         let kind = table.get_str("kind")?;
-        let allowed: &[&str] = match kind {
-            "online_hd" => &ONLINE_KEYS,
-            "centroid_hd" => &["kind", "dim", "seed"],
-            "boost_hd" => &BOOST_KEYS,
-            "quantized_online_hd" | "quantized_i8_online_hd" => &QUANT_ONLINE_KEYS,
-            "quantized_boost_hd" | "quantized_i8_boost_hd" => &QUANT_BOOST_KEYS,
-            _ => &["kind", "seed", "n_estimators", "epochs", "lr", "hidden"],
+        // A quantized kind reads its f32 base's keys, plus `refit_epochs`.
+        let quantized = Tier::from_kind_tag(kind);
+        let base_kind = match quantized {
+            Some((_, true)) => "boost_hd",
+            Some((_, false)) => "online_hd",
+            None => kind,
         };
+        let mut allowed: Vec<&str> = match base_kind {
+            "online_hd" => ONLINE_KEYS.to_vec(),
+            "centroid_hd" => vec!["kind", "dim", "seed"],
+            "boost_hd" => BOOST_KEYS.to_vec(),
+            _ => vec!["kind", "seed", "n_estimators", "epochs", "lr", "hidden"],
+        };
+        allowed.extend(quantized.map(|_| "refit_epochs"));
         if let Some(bad) = table.keys().find(|k| !allowed.contains(k)) {
             return Err(spec_err(format!(
                 "unknown key `{bad}` in [model] for kind `{kind}` (allowed: {})",
                 allowed.join(", ")
             )));
         }
-        Ok(match kind {
+        let spec = match base_kind {
             "online_hd" => ModelSpec::OnlineHd(read_online(table)?),
             "centroid_hd" => {
                 let mut c = CentroidHdConfig::default();
@@ -321,22 +404,6 @@ impl ModelSpec {
                 ModelSpec::CentroidHd(c)
             }
             "boost_hd" => ModelSpec::BoostHd(read_boost(table)?),
-            "quantized_online_hd" => ModelSpec::QuantizedOnlineHd {
-                base: read_online(table)?,
-                refit_epochs: opt_usize(table, "refit_epochs")?.unwrap_or(0),
-            },
-            "quantized_boost_hd" => ModelSpec::QuantizedBoostHd {
-                base: read_boost(table)?,
-                refit_epochs: opt_usize(table, "refit_epochs")?.unwrap_or(0),
-            },
-            "quantized_i8_online_hd" => ModelSpec::QuantizedI8OnlineHd {
-                base: read_online(table)?,
-                refit_epochs: opt_usize(table, "refit_epochs")?.unwrap_or(0),
-            },
-            "quantized_i8_boost_hd" => ModelSpec::QuantizedI8BoostHd {
-                base: read_boost(table)?,
-                refit_epochs: opt_usize(table, "refit_epochs")?.unwrap_or(0),
-            },
             other => {
                 let mut b = BaselineSpec::new(BaselineKind::from_tag(other)?, 0x5EED);
                 if let Some(v) = opt_u64(table, "seed")? {
@@ -351,22 +418,22 @@ impl ModelSpec {
                 };
                 ModelSpec::Baseline(b)
             }
+        };
+        Ok(match quantized {
+            Some((tier, _)) => {
+                let refit_epochs = opt_usize(table, "refit_epochs")?.unwrap_or(0);
+                spec.quantized(tier, refit_epochs)
+                    .expect("a quantized kind reads an OnlineHD or BoostHD base")
+            }
+            None => spec,
         })
     }
 }
 
 /// Key vocabularies per spec kind, shared by the writer and the
-/// unknown-key validation in [`ModelSpec::from_toml_table`].
+/// unknown-key validation in [`ModelSpec::from_toml_table`]; the quantized
+/// kinds add `refit_epochs` to their shape's.
 const ONLINE_KEYS: [&str; 6] = ["kind", "dim", "lr", "epochs", "bootstrap", "seed"];
-const QUANT_ONLINE_KEYS: [&str; 7] = [
-    "kind",
-    "dim",
-    "lr",
-    "epochs",
-    "bootstrap",
-    "seed",
-    "refit_epochs",
-];
 const BOOST_KEYS: [&str; 13] = [
     "kind",
     "dim_total",
@@ -382,23 +449,6 @@ const BOOST_KEYS: [&str; 13] = [
     "class_balanced_init",
     "seed",
 ];
-const QUANT_BOOST_KEYS: [&str; 14] = [
-    "kind",
-    "dim_total",
-    "n_learners",
-    "lr",
-    "epochs",
-    "bootstrap",
-    "voting",
-    "mode",
-    "sample_mode",
-    "boost_shrinkage",
-    "weight_clamp",
-    "class_balanced_init",
-    "seed",
-    "refit_epochs",
-];
-
 fn opt_usize(table: &TomlTable, key: &str) -> Result<Option<usize>> {
     match table.get(key) {
         Some(_) => Ok(Some(table.get_usize(key)?)),
@@ -554,53 +604,68 @@ fn read_boost(table: &TomlTable) -> Result<BoostHdConfig> {
 /// Every spec variant at paper-default hyperparameters — the sweep axis
 /// used by round-trip tests and the design-space tooling.
 pub fn default_specs(seed: u64) -> Vec<ModelSpec> {
-    vec![
-        ModelSpec::OnlineHd(OnlineHdConfig {
-            seed,
-            ..Default::default()
-        }),
-        ModelSpec::CentroidHd(CentroidHdConfig {
-            seed,
-            ..Default::default()
-        }),
-        ModelSpec::BoostHd(BoostHdConfig {
-            seed,
-            ..Default::default()
-        }),
-        ModelSpec::QuantizedOnlineHd {
-            base: OnlineHdConfig {
-                seed,
-                ..Default::default()
-            },
-            refit_epochs: 5,
-        },
-        ModelSpec::QuantizedBoostHd {
-            base: BoostHdConfig {
-                seed,
-                ..Default::default()
-            },
-            refit_epochs: 5,
-        },
-        ModelSpec::QuantizedI8OnlineHd {
-            base: OnlineHdConfig {
-                seed,
-                ..Default::default()
-            },
-            refit_epochs: 2,
-        },
-        ModelSpec::QuantizedI8BoostHd {
-            base: BoostHdConfig {
-                seed,
-                ..Default::default()
-            },
-            refit_epochs: 2,
-        },
-        ModelSpec::Baseline(BaselineSpec::new(BaselineKind::AdaBoost, seed)),
-        ModelSpec::Baseline(BaselineSpec::new(BaselineKind::RandomForest, seed)),
-        ModelSpec::Baseline(BaselineSpec::new(BaselineKind::Gbt, seed)),
-        ModelSpec::Baseline(BaselineSpec::new(BaselineKind::Svm, seed)),
-        ModelSpec::Baseline(BaselineSpec::new(BaselineKind::Mlp, seed)),
+    let online = ModelSpec::OnlineHd(OnlineHdConfig {
+        seed,
+        ..Default::default()
+    });
+    let centroid = ModelSpec::CentroidHd(CentroidHdConfig {
+        seed,
+        ..Default::default()
+    });
+    let boost = ModelSpec::BoostHd(BoostHdConfig {
+        seed,
+        ..Default::default()
+    });
+    // Both shapes at each tier; the lossier 1-bit tier refits longer.
+    let quantized: Vec<ModelSpec> = [(Tier::Binary, 5), (Tier::Int8, 2)]
+        .into_iter()
+        .flat_map(|(tier, epochs)| [&online, &boost].map(|base| base.quantized(tier, epochs)))
+        .flatten()
+        .collect();
+    let baselines = [
+        BaselineKind::AdaBoost,
+        BaselineKind::RandomForest,
+        BaselineKind::Gbt,
+        BaselineKind::Svm,
+        BaselineKind::Mlp,
     ]
+    .map(|kind| ModelSpec::Baseline(BaselineSpec::new(kind, seed)));
+    [online, centroid, boost]
+        .into_iter()
+        .chain(quantized)
+        .chain(baselines)
+        .collect()
+}
+
+/// Every persistable HDC spec at test sizes: the three f32 specs, then
+/// OnlineHD (2 refit epochs) and BoostHD (refit-free) at each quantized
+/// tier.
+#[cfg(test)]
+pub(crate) fn small_hdc_specs() -> Vec<ModelSpec> {
+    let online = ModelSpec::OnlineHd(OnlineHdConfig {
+        dim: 96,
+        epochs: 3,
+        ..Default::default()
+    });
+    let boost = ModelSpec::BoostHd(BoostHdConfig {
+        dim_total: 120,
+        n_learners: 4,
+        epochs: 2,
+        ..Default::default()
+    });
+    let quantized: Vec<ModelSpec> = [Tier::Binary, Tier::Int8]
+        .into_iter()
+        .flat_map(|tier| [online.quantized(tier, 2), boost.quantized(tier, 0)])
+        .flatten()
+        .collect();
+    let centroid = ModelSpec::CentroidHd(CentroidHdConfig {
+        dim: 96,
+        ..Default::default()
+    });
+    [online, centroid, boost]
+        .into_iter()
+        .chain(quantized)
+        .collect()
 }
 
 #[cfg(test)]

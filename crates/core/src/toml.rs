@@ -37,6 +37,19 @@ fn toml_err(reason: impl Into<String>) -> BoostHdError {
     }
 }
 
+/// Most characters of an untrusted value an error message quotes.
+const ECHO_LIMIT: usize = 48;
+
+/// An untrusted value quoted for an error message: verbatim when short,
+/// otherwise its first [`ECHO_LIMIT`] characters and its byte length, so
+/// a huge value cannot become a huge error line.
+fn echo(s: &str) -> String {
+    match s.char_indices().nth(ECHO_LIMIT) {
+        None => format!("`{s}`"),
+        Some((end, _)) => format!("`{}…` ({} bytes)", &s[..end], s.len()),
+    }
+}
+
 /// One parsed TOML value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TomlValue {
@@ -352,10 +365,11 @@ fn parse_value(s: &str) -> std::result::Result<TomlValue, String> {
     if let Some(rest) = s.strip_prefix('"') {
         let inner = rest
             .strip_suffix('"')
-            .ok_or_else(|| format!("unterminated string `{s}`"))?;
+            .ok_or_else(|| format!("unterminated string {}", echo(s)))?;
         if inner.contains('"') {
             return Err(format!(
-                "embedded quote in string `{s}` (escapes unsupported)"
+                "embedded quote in string {} (escapes unsupported)",
+                echo(s)
             ));
         }
         return Ok(TomlValue::Str(inner.to_string()));
@@ -369,7 +383,7 @@ fn parse_value(s: &str) -> std::result::Result<TomlValue, String> {
     if let Some(rest) = s.strip_prefix('[') {
         let inner = rest
             .strip_suffix(']')
-            .ok_or_else(|| format!("unterminated array `{s}`"))?
+            .ok_or_else(|| format!("unterminated array {}", echo(s)))?
             .trim();
         if inner.is_empty() {
             return Ok(TomlValue::IntArray(Vec::new()));
@@ -378,8 +392,9 @@ fn parse_value(s: &str) -> std::result::Result<TomlValue, String> {
             .split(',')
             .map(|item| {
                 let item = item.trim();
-                let not_a_number =
-                    |got: &str| format!("array element `{item}` must be a number, got a {got}");
+                let not_a_number = |got: &str| {
+                    format!("array element {} must be a number, got a {got}", echo(item))
+                };
                 // Arrays are flat: a nested one is rejected without
                 // recursing, so bracket depth cannot exhaust the stack.
                 if item.starts_with('[') {
@@ -437,10 +452,10 @@ fn parse_value(s: &str) -> std::result::Result<TomlValue, String> {
             if v.is_finite() {
                 return Ok(TomlValue::Float(v));
             }
-            return Err(format!("non-finite value `{s}`"));
+            return Err(format!("non-finite value {}", echo(s)));
         }
     }
-    Err(format!("unparseable value `{s}`"))
+    Err(format!("unparseable value {}", echo(s)))
 }
 
 /// Formats a float so it re-parses as a float (whole values keep a
@@ -533,6 +548,9 @@ mod tests {
             msg.contains("must be a number, got a nested array"),
             "{msg}"
         );
+        // The 200,000-byte element is elided, not echoed.
+        assert!(msg.len() < 200, "{} byte error: {msg:.300}", msg.len());
+        assert!(msg.contains("(199999 bytes)"), "{msg}");
     }
 
     #[test]

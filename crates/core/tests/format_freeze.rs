@@ -20,6 +20,7 @@ use boosthd::pipeline::Model;
 use boosthd::{
     BoostHd, BoostHdConfig, CentroidHd, CentroidHdConfig, ModelSpec, ModelStore, OnlineHd,
     OnlineHdConfig, Pipeline, QuantizedBoostHd, QuantizedHd, QuantizedI8BoostHd, QuantizedI8Hd,
+    Tier,
 };
 use linalg::{Matrix, Rng64};
 use std::path::{Path, PathBuf};
@@ -67,6 +68,7 @@ fn fixtures() -> Vec<(&'static str, ModelSpec)> {
             "kind3_quantized_online_hd",
             ModelSpec::QuantizedOnlineHd {
                 base: online(),
+                tier: Tier::Binary,
                 refit_epochs: 2,
             },
         ),
@@ -74,6 +76,7 @@ fn fixtures() -> Vec<(&'static str, ModelSpec)> {
             "kind4_quantized_boost_hd",
             ModelSpec::QuantizedBoostHd {
                 base: part,
+                tier: Tier::Binary,
                 refit_epochs: 2,
             },
         ),
@@ -83,15 +86,17 @@ fn fixtures() -> Vec<(&'static str, ModelSpec)> {
         ),
         (
             "kind6_quantized_i8_online_hd",
-            ModelSpec::QuantizedI8OnlineHd {
+            ModelSpec::QuantizedOnlineHd {
                 base: online(),
+                tier: Tier::Int8,
                 refit_epochs: 2,
             },
         ),
         (
             "kind7_quantized_i8_boost_hd",
-            ModelSpec::QuantizedI8BoostHd {
+            ModelSpec::QuantizedBoostHd {
                 base: part,
+                tier: Tier::Int8,
                 refit_epochs: 2,
             },
         ),
@@ -100,13 +105,15 @@ fn fixtures() -> Vec<(&'static str, ModelSpec)> {
             "kind4_quantized_boost_hd_full_dim",
             ModelSpec::QuantizedBoostHd {
                 base: full,
+                tier: Tier::Binary,
                 refit_epochs: 1,
             },
         ),
         (
             "kind7_quantized_i8_boost_hd_full_dim",
-            ModelSpec::QuantizedI8BoostHd {
+            ModelSpec::QuantizedBoostHd {
                 base: full,
+                tier: Tier::Int8,
                 refit_epochs: 1,
             },
         ),

@@ -282,7 +282,7 @@ mod batch_row_equivalence {
 
 /// The five HDC spec variants at small, property-test-friendly sizes.
 fn small_hdc_specs(seed: u64) -> Vec<boosthd::ModelSpec> {
-    use boosthd::ModelSpec;
+    use boosthd::{ModelSpec, Tier};
     vec![
         ModelSpec::OnlineHd(OnlineHdConfig {
             dim: 72,
@@ -305,6 +305,7 @@ fn small_hdc_specs(seed: u64) -> Vec<boosthd::ModelSpec> {
                 seed,
                 ..Default::default()
             },
+            tier: Tier::Binary,
             refit_epochs: 1,
         },
         ModelSpec::QuantizedBoostHd {
@@ -315,6 +316,7 @@ fn small_hdc_specs(seed: u64) -> Vec<boosthd::ModelSpec> {
                 seed,
                 ..Default::default()
             },
+            tier: Tier::Binary,
             refit_epochs: 1,
         },
     ]

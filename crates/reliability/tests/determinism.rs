@@ -5,7 +5,7 @@
 //! override is process-global; the `HDC_FORCE_SCALAR=1` CI lane
 //! additionally runs this whole suite under pinned scalar kernels).
 
-use boosthd::{BoostHdConfig, CentroidHdConfig, ModelSpec, OnlineHdConfig};
+use boosthd::{BoostHdConfig, CentroidHdConfig, ModelSpec, OnlineHdConfig, Tier};
 use linalg::{Matrix, Rng64};
 use proptest::prelude::*;
 use reliability::campaign::{self, CampaignData, CampaignSpec, FaultModel, ScenarioSpec};
@@ -48,6 +48,7 @@ fn full_spec(seed: u64, trials: usize) -> CampaignSpec {
                     epochs: 2,
                     ..Default::default()
                 },
+                tier: Tier::Binary,
                 refit_epochs: 1,
             },
         ],

@@ -3,7 +3,7 @@
 //! not race the other campaign tests (separate integration-test files
 //! run as separate processes).
 
-use boosthd::{BoostHdConfig, ModelSpec, OnlineHdConfig};
+use boosthd::{BoostHdConfig, ModelSpec, OnlineHdConfig, Tier};
 use linalg::kernels::{set_kernel_level, KernelLevel};
 use linalg::{Matrix, Rng64};
 use reliability::campaign::{self, CampaignData, CampaignSpec, FaultModel, ScenarioSpec};
@@ -63,6 +63,7 @@ fn spec(seed: u64) -> CampaignSpec {
                     epochs: 2,
                     ..Default::default()
                 },
+                tier: Tier::Binary,
                 refit_epochs: 1,
             },
         ],

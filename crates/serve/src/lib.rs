@@ -493,7 +493,7 @@ mod tests {
 
     #[test]
     fn engine_serves_pipeline_built_models() {
-        use boosthd::{ModelSpec, Pipeline, QuantizedHd};
+        use boosthd::{ModelSpec, Pipeline, QuantizedHd, Tier};
 
         let (x, y) = blobs(48, 7);
         let spec = ModelSpec::QuantizedOnlineHd {
@@ -502,6 +502,7 @@ mod tests {
                 epochs: 4,
                 ..Default::default()
             },
+            tier: Tier::Binary,
             refit_epochs: 1,
         };
         let pipeline = Pipeline::fit(&spec, &x, &y).unwrap();
@@ -520,15 +521,16 @@ mod tests {
 
     #[test]
     fn engine_serves_int8_pipeline_models() {
-        use boosthd::{ModelSpec, Pipeline, QuantizedI8Hd};
+        use boosthd::{ModelSpec, Pipeline, QuantizedI8Hd, Tier};
 
         let (x, y) = blobs(48, 8);
-        let spec = ModelSpec::QuantizedI8OnlineHd {
+        let spec = ModelSpec::QuantizedOnlineHd {
             base: OnlineHdConfig {
                 dim: 256,
                 epochs: 4,
                 ..Default::default()
             },
+            tier: Tier::Int8,
             refit_epochs: 1,
         };
         let pipeline = Pipeline::fit(&spec, &x, &y).unwrap();

@@ -72,19 +72,20 @@
 //! between frames waits indefinitely.
 //!
 //! **Degrade ladder.** With [`DegradeConfig::enabled`], `bind` builds
-//! quantized siblings of the model at startup — f32 → int8
-//! (`quantize_i8()`) → 1-bit (`quantize()`) — and a hysteresis controller
-//! in the batcher walks that ladder: queue depth at flush time at or above
-//! [`DegradeConfig::high_depth`] for [`DegradeConfig::degrade_after`]
-//! consecutive flushes steps one tier *down* (cheaper, lower-fidelity
-//! scoring); depth at or below [`DegradeConfig::low_depth`] for
-//! [`DegradeConfig::recover_after`] consecutive flushes steps back *up*.
-//! Every predict reply names the tier that served it (`"tier"`). The
-//! ladder's predictions are bit-identical to the corresponding standalone
-//! quantized pipeline: the siblings are built by the same refit-free
-//! `quantize_i8()` / `quantize()` calls. Beyond the last tier there is
-//! nothing left to degrade to — admission control sheds, with
-//! `retry_after_ms` telling clients when to come back.
+//! the model's [`Pipeline::ladder`] at startup — f32 → int8 → 1-bit for
+//! dense OnlineHD and BoostHD, one rung otherwise — and a hysteresis
+//! controller in the batcher walks that ladder: queue depth at flush
+//! time at or above [`DegradeConfig::high_depth`] for
+//! [`DegradeConfig::degrade_after`] consecutive flushes steps one tier
+//! *down* (cheaper, lower-fidelity scoring); depth at or below
+//! [`DegradeConfig::low_depth`] for [`DegradeConfig::recover_after`]
+//! consecutive flushes steps back *up*.
+//! Every predict reply names the tier that served it (`"tier"`). Each
+//! rung is the model [`Pipeline::fit`] builds for the matching
+//! `{ tier, refit_epochs: 0 }` spec, byte for byte: both go through one
+//! freeze. Beyond the last tier there is nothing left to degrade to —
+//! admission control sheds, with `retry_after_ms` telling clients when to
+//! come back.
 //!
 //! **Runtime self-checks.** The `health` wire command scores a pinned
 //! canary window (deterministic pseudo-rows generated at bind, expected
@@ -142,8 +143,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use boosthd::fleet::{Fleet, FleetModel};
-use boosthd::{BoostHd, ModelSpec, OnlineHd, Pipeline, Prediction};
+use boosthd::fleet::{fnv1a64, Fleet, FleetModel};
+use boosthd::{Pipeline, Prediction};
 use linalg::{Matrix, Rng64};
 
 use crate::wire::{
@@ -670,109 +671,6 @@ impl Inner {
     }
 }
 
-/// FNV-1a over the serialized model — cheap, deterministic, and any
-/// single-bit flip in the parameters changes it.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The stable tier tag for the model a pipeline was built from.
-fn base_tier_tag(spec: &ModelSpec) -> &'static str {
-    match spec {
-        ModelSpec::OnlineHd(_) | ModelSpec::CentroidHd(_) | ModelSpec::BoostHd(_) => "f32",
-        ModelSpec::QuantizedI8OnlineHd { .. } | ModelSpec::QuantizedI8BoostHd { .. } => "int8",
-        ModelSpec::QuantizedOnlineHd { .. } | ModelSpec::QuantizedBoostHd { .. } => "binary",
-        ModelSpec::Baseline(_) => "baseline",
-    }
-}
-
-/// Builds the degrade ladder: the pipeline itself, then refit-free
-/// quantized siblings where the model family supports them (dense
-/// OnlineHD/BoostHD → int8 → 1-bit). Other families serve a one-rung
-/// ladder.
-fn build_ladder(pipeline: &Arc<Pipeline>, degrade_enabled: bool) -> Vec<(&'static str, Pipeline)> {
-    let mut tiers: Vec<(&'static str, Pipeline)> = vec![(
-        base_tier_tag(pipeline.spec()),
-        Pipeline::clone(pipeline.as_ref()),
-    )];
-    if !degrade_enabled {
-        return tiers;
-    }
-    let threshold = pipeline.abstain_threshold();
-    match pipeline.spec().clone() {
-        ModelSpec::OnlineHd(cfg) => {
-            if let Some(m) = pipeline.downcast_ref::<OnlineHd>() {
-                tiers.push((
-                    "int8",
-                    Pipeline::from_model(
-                        ModelSpec::QuantizedI8OnlineHd {
-                            base: cfg,
-                            refit_epochs: 0,
-                        },
-                        Box::new(m.quantize_i8()),
-                    )
-                    .with_abstain_threshold(threshold),
-                ));
-                tiers.push((
-                    "binary",
-                    Pipeline::from_model(
-                        ModelSpec::QuantizedOnlineHd {
-                            base: cfg,
-                            refit_epochs: 0,
-                        },
-                        Box::new(m.quantize()),
-                    )
-                    .with_abstain_threshold(threshold),
-                ));
-            }
-        }
-        ModelSpec::BoostHd(cfg) => {
-            if let Some(m) = pipeline.downcast_ref::<BoostHd>() {
-                tiers.push((
-                    "int8",
-                    Pipeline::from_model(
-                        ModelSpec::QuantizedI8BoostHd {
-                            base: cfg,
-                            refit_epochs: 0,
-                        },
-                        Box::new(m.quantize_i8()),
-                    )
-                    .with_abstain_threshold(threshold),
-                ));
-                tiers.push((
-                    "binary",
-                    Pipeline::from_model(
-                        ModelSpec::QuantizedBoostHd {
-                            base: cfg,
-                            refit_epochs: 0,
-                        },
-                        Box::new(m.quantize()),
-                    )
-                    .with_abstain_threshold(threshold),
-                ));
-            }
-        }
-        _ => {}
-    }
-    tiers
-}
-
-/// Refit-free degrade-ladder siblings of a fitted pipeline, most precise
-/// first (dense OnlineHD/BoostHD → int8 → 1-bit; other families a single
-/// rung). This is the tier set `hdrun fleet add --ladder` publishes under
-/// one `(model_id, version)` so the whole ladder hot-swaps as one unit.
-pub fn fleet_ladder(pipeline: &Arc<Pipeline>) -> Vec<Pipeline> {
-    build_ladder(pipeline, true)
-        .into_iter()
-        .map(|(_, model)| model)
-        .collect()
-}
-
 /// Seed of the deterministic pseudo-row canary window (fixed: the canary
 /// must be identical across restarts for pinned expectations to be
 /// meaningful).
@@ -872,9 +770,14 @@ impl Server {
             .unwrap_or_else(boosthd::parallel::default_threads)
             .max(1);
         let canary = canary_matrix(expected_features, config.tuning.canary_rows);
-        let tiers: Vec<TierEntry> = build_ladder(&pipeline, config.tuning.degrade.enabled)
+        let ladder = if config.tuning.degrade.enabled {
+            pipeline.ladder()
+        } else {
+            vec![Pipeline::clone(&pipeline)]
+        };
+        let tiers: Vec<TierEntry> = ladder
             .into_iter()
-            .map(|(tag, model)| {
+            .map(|model| {
                 let pristine = model.to_bytes().ok();
                 let checksum = pristine.as_deref().map(fnv1a64).unwrap_or(0);
                 let canary_expected = canary
@@ -888,7 +791,7 @@ impl Server {
                     })
                     .unwrap_or_default();
                 TierEntry {
-                    tag,
+                    tag: model.spec().tier_tag(),
                     model: RwLock::new(Arc::new(model)),
                     pristine,
                     checksum,
@@ -1708,7 +1611,7 @@ fn batcher_loop(inner: &Arc<Inner>) {
                     let p = Arc::clone(fm.tier(active));
                     (
                         Arc::clone(&p),
-                        base_tier_tag(p.spec()),
+                        p.spec().tier_tag(),
                         Some((fm.model_id().to_string(), fm.version())),
                     )
                 }

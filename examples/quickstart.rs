@@ -79,6 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             n_learners: 10,
             ..Default::default()
         },
+        tier: Tier::Binary,
         refit_epochs: 5,
     };
     let packed = Pipeline::fit(&packed_spec, train.features(), train.labels())?;

@@ -66,9 +66,7 @@ use std::time::Duration;
 use boosthd::toml::TomlDoc;
 use boosthd::{BoostHdError, ModelSpec, Pipeline};
 use boosthd_repro::serve::fleet::{Fleet, FleetConfig, ModelStore};
-use boosthd_repro::serve::server::{
-    fleet_ladder, Backpressure, Server, ServerConfig, ServerTuning,
-};
+use boosthd_repro::serve::server::{Backpressure, Server, ServerConfig, ServerTuning};
 use boosthd_repro::serve::{EngineConfig, InferenceEngine};
 use eval_harness::metrics::accuracy;
 use linalg::Matrix;
@@ -641,7 +639,7 @@ fn cmd_fleet_add(
         None => store.latest_version(id).map_or(1, |v| v + 1),
     };
     let tiers: Vec<Pipeline> = if ladder {
-        fleet_ladder(&std::sync::Arc::new(pipeline))
+        pipeline.ladder()
     } else {
         vec![pipeline]
     };

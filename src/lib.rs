@@ -74,7 +74,7 @@ pub mod prelude {
     pub use boosthd::{
         BaselineKind, BaselineSpec, BoostHd, BoostHdConfig, CentroidHd, CentroidHdConfig,
         Classifier, Model, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline, Prediction,
-        QuantizedBoostHd, QuantizedHd, Voting,
+        QuantizedBoostHd, QuantizedHd, Tier, Voting,
     };
     pub use boosthd_serve::{EngineConfig, InferenceEngine};
     pub use eval_harness;

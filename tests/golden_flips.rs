@@ -53,20 +53,24 @@ fn spec(kind: &str) -> ModelSpec {
         "online" => ModelSpec::OnlineHd(online),
         "boost" => ModelSpec::BoostHd(boost),
         "centroid" => ModelSpec::CentroidHd(CentroidHdConfig { dim: 500, seed: 9 }),
-        "i8_online" => ModelSpec::QuantizedI8OnlineHd {
+        "i8_online" => ModelSpec::QuantizedOnlineHd {
             base: online,
+            tier: Tier::Int8,
             refit_epochs,
         },
-        "i8_boost" => ModelSpec::QuantizedI8BoostHd {
+        "i8_boost" => ModelSpec::QuantizedBoostHd {
             base: boost,
+            tier: Tier::Int8,
             refit_epochs,
         },
         "packed_online" => ModelSpec::QuantizedOnlineHd {
             base: online,
+            tier: Tier::Binary,
             refit_epochs,
         },
         "packed_boost" => ModelSpec::QuantizedBoostHd {
             base: boost,
+            tier: Tier::Binary,
             refit_epochs,
         },
         "mlp" => ModelSpec::Baseline(baseline(BaselineKind::Mlp, 7)),

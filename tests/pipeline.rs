@@ -210,6 +210,7 @@ fn nan_flip_probability_leaves_the_model_untouched() {
             dim: 500,
             ..Default::default()
         },
+        tier: Tier::Binary,
         refit_epochs: 0,
     };
     let clean = Pipeline::fit(&spec, train.features(), train.labels()).unwrap();

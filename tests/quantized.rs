@@ -33,9 +33,12 @@ fn quantized_boosthd_stays_within_three_points_of_f32_on_wesad_like() {
 
     // The recommended deployment flow: a few epochs of quantization-aware
     // refit before freezing. Holds the 3-point budget at D_wl = 400.
-    let refit = model
-        .quantize_with_refit(train.features(), train.labels(), 5)
-        .unwrap();
+    let spec = ModelSpec::QuantizedBoostHd {
+        base: config,
+        tier: Tier::Binary,
+        refit_epochs: 5,
+    };
+    let refit = Pipeline::fit(&spec, train.features(), train.labels()).unwrap();
     let refit_acc =
         eval_harness::metrics::accuracy(&refit.predict_batch(test.features()), test.labels());
     assert!(

@@ -40,6 +40,7 @@ fn hdc_specs() -> Vec<ModelSpec> {
                 epochs: 5,
                 ..Default::default()
             },
+            tier: Tier::Binary,
             refit_epochs: 2,
         },
         ModelSpec::QuantizedBoostHd {
@@ -49,6 +50,7 @@ fn hdc_specs() -> Vec<ModelSpec> {
                 epochs: 5,
                 ..Default::default()
             },
+            tier: Tier::Binary,
             refit_epochs: 2,
         },
     ]
