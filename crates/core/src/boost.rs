@@ -184,11 +184,13 @@ impl BoostHd {
     /// every `threads` value; `fit` passes
     /// [`crate::parallel::default_threads`].
     ///
-    /// Peak memory in `FullDimension` mode scales with the wave: each wave
-    /// holds up to `threads` private encoders plus full-batch encodings
-    /// (`threads × n × D` f32) in flight at once, versus one at a time for
-    /// `threads = 1` — size `threads` accordingly for large cohorts.
-    /// `Partitioned` mode is unaffected (nothing is encoded per learner).
+    /// Peak training memory in `Partitioned` mode is one learner's
+    /// subspace encoding, `n × D/N_L` f32: each learner encodes its own
+    /// segment just before its round. In `FullDimension` mode it scales
+    /// with the wave: each wave holds up to `threads` private encoders
+    /// plus full-batch encodings (`threads × n × D` f32) in flight at
+    /// once, versus one at a time for `threads = 1` — size `threads`
+    /// accordingly for large cohorts.
     pub(crate) fn fit_with_threads(
         config: &BoostHdConfig,
         x: &Matrix,
@@ -212,13 +214,6 @@ impl BoostHd {
         let mut rng = Rng64::seed_from(config.seed);
         let encoder = SinusoidEncoder::try_new(config.dim_total, x.cols(), &mut rng)
             .map_err(BoostHdError::from)?;
-
-        // Encode once at full D; learners read column slices (Partitioned)
-        // or re-encode with private projections (FullDimension ablation).
-        let z = match config.mode {
-            EnsembleMode::Partitioned => Some(encoder.encode_batch(x)),
-            EnsembleMode::FullDimension => None,
-        };
 
         // Pre-draw every per-learner RNG fork in the exact order the
         // sequential loop used to consume them — per learner, the private-
@@ -297,13 +292,13 @@ impl BoostHd {
 
             for i in wave_start..wave_end {
                 let seg = partition.segment(i);
+                // A slice encodes bit-identically to the same columns of a
+                // full-`D` encode (the GEMM and the activation work per
+                // output element), so encoding per round moves no model bit.
                 let (zi, own_encoder) = match config.mode {
-                    EnsembleMode::Partitioned => (
-                        z.as_ref()
-                            .expect("encoded batch exists in partitioned mode")
-                            .slice_columns(seg.start, seg.end),
-                        None,
-                    ),
+                    EnsembleMode::Partitioned => {
+                        (encoder.slice_dims(seg.start, seg.end).encode_batch(x), None)
+                    }
                     EnsembleMode::FullDimension => {
                         let (enc, zi) = wave_encodings[i - wave_start]
                             .take()

@@ -601,8 +601,9 @@ impl Ensemble<Matrix> {
     }
 
     /// Freezes into `Q` after `epochs` of per-learner straight-through
-    /// refinement on `(x, y)`: each learner refines against its own
-    /// segment of the encoded refit batch.
+    /// refinement on `(x, y)`: each learner encodes and refines against
+    /// its own segment of the refit batch, so one `n × D/N_L` encoding is
+    /// live at a time.
     pub(crate) fn refit<Q: ClassMemory>(
         &self,
         x: &Matrix,
@@ -614,10 +615,12 @@ impl Ensemble<Matrix> {
         if epochs == 0 {
             return Ok(self.freeze());
         }
-        let z = self.encoder.encode_batch(x);
         Ok(self.map_memories(|l| {
             let zi = match &l.own_encoder {
-                None => z.slice_columns(l.segment.start, l.segment.end),
+                None => self
+                    .encoder
+                    .slice_dims(l.segment.start, l.segment.end)
+                    .encode_batch(x),
                 Some(enc) => enc.encode_batch(x),
             };
             refit_memory(&zi, y, &mut l.memory.clone(), lr, epochs)

@@ -4,7 +4,7 @@ use hdc::backend::{PackedHv, PackedMatrix};
 use hdc::encoder::{Encode, SinusoidEncoder};
 use hdc::theory::MarchenkoPastur;
 use hdc::{ops, DimensionPartition};
-use linalg::Rng64;
+use linalg::{Matrix, Rng64};
 use proptest::prelude::*;
 
 fn random_sign_vector(rng: &mut Rng64, dim: usize) -> Vec<f32> {
@@ -69,6 +69,31 @@ proptest! {
             rebuilt.extend(enc.slice_dims(seg.start, seg.end).encode_row(&x));
         }
         prop_assert_eq!(full, rebuilt);
+    }
+
+    #[test]
+    fn encoder_slices_batch_encode_the_full_columns(
+        seed in any::<u64>(),
+        rows in 1usize..40,
+        features in 1usize..16,
+    ) {
+        // Segment widths on both sides of the GEMM's 256-column tile, and
+        // totals the learner count does not divide.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (dim, cuts) in [(200, 2), (513, 2), (1030, 4), (1000, 3), (2000, 7)] {
+            let mut rng = Rng64::seed_from(seed);
+            let enc = SinusoidEncoder::new(dim, features, &mut rng);
+            let x = Matrix::random_uniform(rows, features, -2.0, 2.0, &mut rng);
+            let full = enc.encode_batch(&x);
+            for seg in DimensionPartition::new(dim, cuts).unwrap().iter() {
+                let sliced = enc.slice_dims(seg.start, seg.end).encode_batch(&x);
+                prop_assert_eq!(
+                    bits(&sliced),
+                    bits(&full.slice_columns(seg.start, seg.end)),
+                    "D={} segment {:?}", dim, seg
+                );
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ use std::time::Duration;
 
 use crate::campaign::json_f64;
 use boosthd::parallel::ExecBackend;
-use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline};
+use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline, Tier};
 use boosthd_serve::server::{Backpressure, DegradeConfig, Server, ServerConfig, ServerTuning};
 use boosthd_serve::wire::{escape_json, Client, ErrorCode, Reply};
 use boosthd_serve::EngineConfig;
@@ -651,14 +651,9 @@ fn scenario_overload_degrade(cfg: &ChaosConfig, pipeline: &Arc<Pipeline>) -> Sce
     for s in &served {
         let tag = s.tier.as_deref().unwrap_or("?");
         if tier_trail.last() != Some(&tag) {
-            tier_trail.push(match tag {
-                "f32" => "f32",
-                "int8" => "int8",
-                "binary" => "binary",
-                _ => "?",
-            });
+            tier_trail.push(tag);
         }
-        if s.tier.as_deref() == Some("int8") {
+        if tag == Tier::Int8.tag() {
             let x =
                 Matrix::from_rows(std::slice::from_ref(&s.row)).expect("served row is rectangular");
             if Classifier::predict_batch(&standalone_i8, &x)[0] != s.class {
